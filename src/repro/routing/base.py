@@ -14,12 +14,14 @@ with :meth:`RoutingAgent.on_delivery`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.sim.messages import Message
 from repro.sim.node import Node, ProtocolHandler
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
 
 @dataclass
@@ -52,6 +54,8 @@ class RoutingAgent(ProtocolHandler):
         kinds: Optional[frozenset[str]] = None,
     ) -> None:
         super().__init__()
+        if buffer_capacity is not None and buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1 (or None for unbounded)")
         if kinds is not None:
             self.handled_kinds = frozenset(kinds)
         self.buffer: dict[int, Message] = {}
@@ -61,6 +65,14 @@ class RoutingAgent(ProtocolHandler):
         self.deliveries: list[DeliveryRecord] = []
         self._callbacks: dict[str, list[Callable[[Message], None]]] = {}
         self._custody_callbacks: dict[str, list[Callable[[Message, Node], None]]] = {}
+        #: expiry index: ttl -> min-heap of (created_at, insertion seq,
+        #: message) for every message stored with that ttl.  With the ttl
+        #: fixed, ``now - created_at > ttl`` is monotone in ``created_at``,
+        #: so a heap pops its expired messages first.  Entries of messages
+        #: that left the buffer stay until they reach the top.
+        self._expiry: dict[float, list[tuple[float, int, Message]]] = {}
+        self._expiry_seq = itertools.count()
+        self._forwarded_counters: dict[str, Counter] = {}
 
     # -- public API for upper layers -------------------------------------
 
@@ -164,11 +176,17 @@ class RoutingAgent(ProtocolHandler):
     def _try_forward_one(self, message: Message, peer: Node) -> None:
         if message.expired(self.node.sim.now):
             return
-        if not self.should_forward(message, peer):
-            return
-        outgoing = self.split_for(message, peer)
-        if self.node.send(outgoing, peer):
-            self.stats.counter(f"routing.forwarded.{message.kind}").add(1)
+        if self.should_forward(message, peer):
+            self._forward(message, peer)
+
+    def _forward(self, message: Message, peer: Node) -> None:
+        """Send ``split_for``'s copy to ``peer``; count and hook a success."""
+        if self.node.send(self.split_for(message, peer), peer):
+            counter = self._forwarded_counters.get(message.kind)
+            if counter is None:
+                counter = self.stats.counter(f"routing.forwarded.{message.kind}")
+                self._forwarded_counters[message.kind] = counter
+            counter.add(1)
             self.after_forward(message, peer)
 
     def _store(self, message: Message) -> None:
@@ -180,6 +198,11 @@ class RoutingAgent(ProtocolHandler):
         if self.buffer_capacity is not None and len(self.buffer) >= self.buffer_capacity:
             self._evict_one()
         self.buffer[message.msg_id] = message
+        if message.ttl is not None:
+            heap = self._expiry.get(message.ttl)
+            if heap is None:
+                heap = self._expiry[message.ttl] = []
+            heappush(heap, (message.created_at, next(self._expiry_seq), message))
 
     def _evict_one(self) -> None:
         """Drop the oldest message (FIFO by creation time)."""
@@ -191,11 +214,22 @@ class RoutingAgent(ProtocolHandler):
 
     def _expire_buffer(self) -> None:
         now = self.node.sim.now
-        dead = [mid for mid, m in self.buffer.items() if m.expired(now)]
-        for mid in dead:
-            del self.buffer[mid]
-        if dead:
-            self.stats.counter("routing.dropped_expired").add(len(dead))
+        buffer = self.buffer
+        dropped = 0
+        for ttl, heap in self._expiry.items():
+            while heap:
+                created_at, _, message = heap[0]
+                if buffer.get(message.msg_id) is not message:
+                    # Already left the buffer (forwarded away or evicted).
+                    heappop(heap)
+                elif now - created_at > ttl:
+                    heappop(heap)
+                    del buffer[message.msg_id]
+                    dropped += 1
+                else:
+                    break
+        if dropped:
+            self.stats.counter("routing.dropped_expired").add(dropped)
 
     def _deliver(self, message: Message) -> None:
         now = self.node.sim.now

@@ -12,11 +12,15 @@ from repro.sim.messages import Message
 from repro.sim.node import Node
 
 
+def _has_hops(message: Message) -> bool:
+    return message.hops_left is None or message.hops_left > 0
+
+
 class EpidemicRouting(RoutingAgent):
     """Replicate to any peer that has not seen the message yet."""
 
     def should_forward(self, message: Message, peer: Node) -> bool:
-        if message.hops_left is not None and message.hops_left <= 0:
+        if not _has_hops(message):
             return False
         peer_agent = self.peer_agent(peer)
         if peer_agent is None:
@@ -28,3 +32,20 @@ class EpidemicRouting(RoutingAgent):
         if outgoing.hops_left is not None:
             outgoing.hops_left -= 1
         return outgoing
+
+    def _try_forward_all(self, peer: Node) -> None:
+        # The summary-vector handshake: resolve the peer's agent once and
+        # offer only what it has not seen, in buffer order.  Same result
+        # as asking should_forward per message: sends are delivered
+        # through the event heap, so the peer's seen set cannot change
+        # while this loop runs.
+        peer_agent = self.peer_agent(peer)
+        if peer_agent is None:
+            offers = [m for m in self.buffer.values() if m.dst == peer.node_id]
+        else:
+            seen = peer_agent.seen
+            offers = [m for mid, m in self.buffer.items() if mid not in seen]
+        now = self.node.sim.now
+        for message in offers:
+            if not message.expired(now) and _has_hops(message):
+                self._forward(message, peer)

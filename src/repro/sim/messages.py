@@ -44,7 +44,7 @@ def reset_message_ids() -> None:
     _COPY_IDS = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A protocol message exchanged over opportunistic contacts."""
 
@@ -62,25 +62,29 @@ class Message:
 
     def __post_init__(self) -> None:
         if _TRACE is not None:
-            _TRACE.emit(
-                MessageCreate(self.created_at, self.kind, self.src, self.dst,
-                              self.size, self.msg_id, self.copy_id)
-            )
+            _emit_create(self)
 
     def copy(self) -> "Message":
-        """A replica of this message: same ``msg_id``, new ``copy_id``."""
-        return Message(
-            kind=self.kind,
-            src=self.src,
-            dst=self.dst,
-            created_at=self.created_at,
-            size=self.size,
-            ttl=self.ttl,
-            hops_left=self.hops_left,
-            payload=dict(self.payload),
-            msg_id=self.msg_id,
-            hop_count=self.hop_count,
-        )
+        """A replica of this message: same ``msg_id``, new ``copy_id``.
+
+        Built without ``__init__``: every forwarded message is a copy,
+        so this is on the routing hot path.
+        """
+        replica = object.__new__(Message)
+        replica.kind = self.kind
+        replica.src = self.src
+        replica.dst = self.dst
+        replica.created_at = self.created_at
+        replica.size = self.size
+        replica.ttl = self.ttl
+        replica.hops_left = self.hops_left
+        replica.payload = dict(self.payload)
+        replica.msg_id = self.msg_id
+        replica.copy_id = next(_COPY_IDS)
+        replica.hop_count = self.hop_count
+        if _TRACE is not None:
+            _emit_create(replica)
+        return replica
 
     def expired(self, now: float) -> bool:
         """True if the message's TTL has elapsed at simulation time ``now``."""
@@ -91,3 +95,11 @@ class Message:
             f"Message({self.kind} #{self.msg_id}.{self.copy_id} "
             f"{self.src}->{self.dst} t={self.created_at:.1f})"
         )
+
+
+def _emit_create(message: Message) -> None:
+    _TRACE.emit(
+        MessageCreate(message.created_at, message.kind, message.src,
+                      message.dst, message.size, message.msg_id,
+                      message.copy_id)
+    )

@@ -6,6 +6,8 @@ direct delivery must wait for a 0-3 contact that never comes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mobility.trace import Contact, ContactTrace
 from repro.routing.base import RoutingAgent
@@ -13,7 +15,8 @@ from repro.routing.direct import DirectDelivery
 from repro.routing.epidemic import EpidemicRouting
 from repro.routing.prophet import ProphetRouting
 from repro.routing.spraywait import SprayAndWait
-from repro.sim.messages import Message
+from repro.sim.messages import Message, reset_message_ids
+from repro.sim.stats import StatsRegistry
 from tests.conftest import build_network
 
 
@@ -94,6 +97,100 @@ class TestEpidemicRouting:
         net.sim.run(until=1000.0)
         # reaches node 1 (t=10) and node 2 (t=30) but expires before 2->3 at t=50
         assert len(agents[3].deliveries) == 0
+
+
+class FullScanEpidemic(EpidemicRouting):
+    """Reference: offer the whole buffer to every peer, scan it for expiry."""
+
+    def _try_forward_all(self, peer):
+        for message in list(self.buffer.values()):
+            self._try_forward_one(message, peer)
+
+    def _expire_buffer(self):
+        now = self.node.sim.now
+        dead = [mid for mid, m in self.buffer.items() if m.expired(now)]
+        for mid in dead:
+            del self.buffer[mid]
+        if dead:
+            self.stats.counter("routing.dropped_expired").add(len(dead))
+
+
+@st.composite
+def epidemic_scenarios(draw):
+    """A small random trace with random originations.
+
+    Integer times make ties common: contacts opening together,
+    originations during open contacts, and messages whose age equals
+    their TTL exactly.  A message may be originated some time after it
+    was created, so buffers often hold messages out of creation order.
+    """
+    n = draw(st.integers(3, 5))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    contacts = draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.integers(0, 300), st.integers(0, 60)),
+        min_size=10, max_size=50,
+    ))
+    # A node without a routing agent takes only messages addressed to it.
+    bare = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    carriers = [nid for nid in range(n) if nid not in bare]
+    originations = draw(st.lists(
+        st.tuples(
+            st.integers(0, 300),
+            st.integers(0, 100),
+            st.sampled_from(carriers),
+            st.integers(0, n - 1),
+            st.sampled_from([None, 60.0, 150.0]),
+            st.one_of(st.none(), st.integers(0, 3)),
+        ),
+        min_size=5, max_size=25,
+    ))
+    capacity = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return n, contacts, bare, originations, capacity
+
+
+def run_epidemic(agent_class, scenario):
+    n, contacts, bare, originations, capacity = scenario
+    reset_message_ids()
+    trace = ContactTrace(
+        [Contact.make(a, b, start, start + length)
+         for (a, b), start, length in contacts],
+        node_ids=list(range(n)),
+    )
+    stats = StatsRegistry()
+    net = build_network(trace, stats=stats, record_transfers=True)
+    agents = {
+        nid: net.nodes[nid].add_handler(agent_class(buffer_capacity=capacity, stats=stats))
+        for nid in range(n) if nid not in bare
+    }
+    net.start()
+
+    def originate_now(age, src, dst, ttl, hops_left):
+        agents[src].originate(Message(
+            kind="data", src=src, dst=dst, created_at=net.sim.now - age,
+            ttl=ttl, hops_left=hops_left,
+        ))
+
+    for at, age, src, dst, ttl, hops_left in originations:
+        net.sim.schedule_at(float(at), originate_now, age, src, dst, ttl, hops_left)
+    buffers = []
+    for until in range(10, 410, 10):
+        net.sim.run(until=float(until))
+        buffers.append([list(agent.buffer) for agent in agents.values()])
+    return (
+        net.transfers,
+        {nid: agent.deliveries for nid, agent in agents.items()},
+        buffers,
+        stats.counters(),
+    )
+
+
+class TestEpidemicSummaryVector:
+    @settings(max_examples=150, deadline=None)
+    @given(epidemic_scenarios())
+    def test_matches_full_scan_reference(self, scenario):
+        assert run_epidemic(EpidemicRouting, scenario) == run_epidemic(
+            FullScanEpidemic, scenario
+        )
 
 
 class TestSprayAndWait:
@@ -211,6 +308,11 @@ class TestRoutingAgentBase:
         net.sim.run(until=100.0)
         assert agents[1].stats.tally("routing.delay.data").count == 1
         assert agents[1].stats.tally("routing.delay.data").mean == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_buffer_capacity_below_one_rejected(self, capacity):
+        with pytest.raises(ValueError):
+            EpidemicRouting(buffer_capacity=capacity)
 
     def test_kinds_filter(self, line_trace, network_factory):
         net = network_factory(line_trace)

@@ -1,6 +1,9 @@
 """Tests for the message data model."""
 
-from repro.sim.messages import Message, reset_message_ids
+from dataclasses import fields
+
+from repro.obs.bus import EventBus
+from repro.sim.messages import Message, reset_message_ids, set_message_trace
 
 
 class TestMessage:
@@ -35,6 +38,26 @@ class TestMessage:
         assert duplicate.ttl == 100.0
         assert duplicate.hops_left == 4
         assert duplicate.hop_count == 2
+        # copy() bypasses __init__, so a new field must be copied by hand
+        assert [
+            getattr(duplicate, f.name) for f in fields(Message) if f.name != "copy_id"
+        ] == [getattr(original, f.name) for f in fields(Message) if f.name != "copy_id"]
+
+    def test_copy_emits_one_create_record(self):
+        original = Message(kind="x", src=1, dst=2, created_at=7.0, size=99)
+        bus = EventBus()
+        set_message_trace(bus)
+        try:
+            duplicate = original.copy()
+        finally:
+            set_message_trace(None)
+        assert len(bus.records) == 1
+        record = bus.records[0]
+        assert record.kind == "msg.create"
+        assert (record.msg_id, record.copy_id) == (duplicate.msg_id, duplicate.copy_id)
+        assert (record.time, record.msg_kind, record.src, record.dst, record.size) == (
+            7.0, "x", 1, 2, 99,
+        )
 
     def test_expiry(self):
         message = Message(kind="x", src=1, dst=2, created_at=10.0, ttl=5.0)
