@@ -250,6 +250,8 @@ class SchemeRuntime:
         gauge_fresh = self.stats.gauge("probe.fresh_slots")
         gauge_valid = self.stats.gauge("probe.valid_slots")
         gauge_total = self.stats.gauge("probe.total_slots")
+        series_fresh = self.stats.series("probe.freshness")
+        series_valid = self.stats.series("probe.validity")
 
         def probe() -> None:
             fresh, valid, total = self.freshness_snapshot()
@@ -258,8 +260,8 @@ class SchemeRuntime:
             gauge_valid.set(valid)
             gauge_total.set(total)
             if total:
-                self.stats.series("probe.freshness").record(now, fresh / total)
-                self.stats.series("probe.validity").record(now, valid / total)
+                series_fresh.record(now, fresh / total)
+                series_valid.record(now, valid / total)
             if now + interval <= until:
                 self.sim.schedule_after(interval, probe)
 

@@ -37,19 +37,13 @@ class EventBus:
 
     ``keep_records`` may be switched off when a subscriber persists the
     stream (e.g. a JSONL writer) and the run is too large to buffer.
-    ``engine_events`` additionally turns on per-executed-event engine
-    records (``engine.event`` volume is *per simulation event* -- orders
-    of magnitude above everything else, so it is a separate opt-in).
     """
 
-    __slots__ = ("records", "keep_records", "engine_events", "_subscribers",
-                 "emit")
+    __slots__ = ("records", "keep_records", "_subscribers", "emit")
 
-    def __init__(self, keep_records: bool = True,
-                 engine_events: bool = False) -> None:
+    def __init__(self, keep_records: bool = True) -> None:
         self.records: list[TraceRecord] = []
         self.keep_records = keep_records
-        self.engine_events = engine_events
         self._subscribers: list[Subscriber] = []
         self._rebind_emit()
 

@@ -13,7 +13,6 @@ that produced it.  The full catalogue:
 kind                emitted when
 ================== ====================================================
 ``engine.run``      the simulator's run loop starts/stops
-``engine.event``    one executed event (``engine_events=True`` opt-in)
 ``contact.open``    a trace contact opens (both endpoints online)
 ``contact.close``   an opened contact closes
 ``node.churn``      a node flips online/offline
@@ -117,21 +116,6 @@ class EngineRun(TraceRecord):
         self.time = time
         self.phase = phase
         self.events_executed = events_executed
-
-
-class EngineEvent(TraceRecord):
-    """One executed simulator event (``EventBus(engine_events=True)``
-    opt-in; highest-volume record by far)."""
-
-    kind = "engine.event"
-    __slots__ = ("callback", "priority", "node")
-
-    def __init__(self, time: float, callback: str, priority: int,
-                 node: int | None) -> None:
-        self.time = time
-        self.callback = callback
-        self.priority = priority
-        self.node = node
 
 
 class ContactOpen(TraceRecord):
@@ -610,7 +594,7 @@ class FaultStream(TraceRecord):
 RECORD_TYPES: dict[str, Type[TraceRecord]] = {
     cls.kind: cls
     for cls in (
-        EngineRun, EngineEvent, ContactOpen, ContactClose, NodeChurn,
+        EngineRun, ContactOpen, ContactClose, NodeChurn,
         MessageCreate, MessageTx, MessageRx, MessageDrop,
         TaskCreate, TaskDrop,
         CachePut, CacheEvict, CacheExpire, CacheRemove,

@@ -6,6 +6,12 @@ absolute simulation times, and :meth:`Simulator.run` pops them in
 by an explicit integer priority (lower runs first) and then by insertion
 order, so a simulation with a fixed seed replays event-for-event.
 
+A fresh simulator can also take one presorted *schedule*
+(:meth:`Simulator.load_schedule`): events known before the run starts,
+such as a contact trace, kept in plain lists instead of as heap events.
+The run loop merges the schedule with the heap in the same
+(time, priority, insertion-order) order.
+
 Times are plain floats in seconds.  The engine knows nothing about
 networks or traces; :mod:`repro.sim.network` builds on it.
 """
@@ -15,15 +21,22 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Optional
+from heapq import heappop
+from typing import Any, Callable, Optional, Sequence
 
-from repro.obs.records import EngineEvent, EngineRun
+import numpy as np
+
+from repro.obs.records import EngineRun
 
 #: Compaction kicks in only past this many cancelled entries, so small
 #: simulations never pay the rebuild.
 _COMPACT_MIN_CANCELLED = 64
 
 _INF = math.inf
+
+#: Schedule times of a simulator with no schedule left: only the
+#: sentinel every loaded schedule ends with.
+_NO_SCHEDULE = (_INF,)
 
 
 class SimulationError(RuntimeError):
@@ -121,6 +134,13 @@ class Simulator:
         #: found in the heap, so this may over-estimate -- compaction
         #: resets it to the truth)
         self._cancelled = 0
+        #: the loaded schedule (see :meth:`load_schedule`): entry times
+        #: followed by an ``inf`` sentinel, entry priorities, the
+        #: dispatch callable, and the position of the next entry
+        self._sched_times: Sequence[float] = _NO_SCHEDULE
+        self._sched_prios: Sequence[int] = ()
+        self._sched_dispatch: Optional[Callable[[int], None]] = None
+        self._sched_pos = 0
         #: optional :class:`repro.obs.bus.EventBus`.  Checked once per
         #: :meth:`run` call -- never inside the event loop -- so a run
         #: without a bus executes the exact pre-instrumentation loop.
@@ -138,8 +158,9 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap)
+        """Number of events not yet run: schedule entries left plus heap
+        events (including cancelled ones)."""
+        return len(self._sched_prios) - self._sched_pos + len(self._heap)
 
     def schedule_at(
         self,
@@ -184,39 +205,69 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
-    def schedule_batch(
+    def load_schedule(
         self,
-        entries: "list[tuple[float, int, Callable[..., None], tuple]]",
+        times: Sequence[float],
+        priorities: Sequence[int],
+        dispatch: Callable[[int], None],
     ) -> int:
-        """Bulk-schedule ``(time, priority, callback, args)`` entries.
+        """Load a presorted schedule into a fresh simulator.
 
-        Appends every entry and re-heapifies once -- O(n + heap) instead
-        of n ``heappush`` calls, which matters when a contact trace
-        front-loads hundreds of thousands of events before the run.
-        Sequence numbers are assigned in list order, so the pop order is
-        *identical* to calling :meth:`schedule_at` once per entry (pops
-        compare the full ``(time, priority, seq)`` key; the heap's
-        internal layout is irrelevant).  Returns the number scheduled.
+        Entry ``i`` runs as ``dispatch(i)`` at ``times[i]`` with priority
+        ``priorities[i]``; ``dispatch`` is called exactly once per entry,
+        in entry order.  The entries (arrays or sequences) must be
+        sorted by ``(time, priority)``, finite and not in the past.
+
+        The run order is identical to calling :meth:`schedule_at` once
+        per entry before anything else.  Those calls would have given
+        the entries lower sequence numbers than any later event, so at
+        an equal ``(time, priority)`` the entry goes first.  That holds
+        only while the entries are the first events of the run, so a
+        simulator with pending or executed events raises
+        :class:`SimulationError`.  A dispatched entry counts as an
+        executed event.  Returns the number of entries loaded.
         """
-        heap = self._heap
-        append = heap.append
-        next_seq = self._seq.__next__
-        now = self._now
-        for time, priority, callback, args in entries:
-            if not (now <= time < _INF):
-                if not math.isfinite(time):
-                    raise SimulationError(
-                        f"cannot schedule at non-finite time {time!r}"
-                    )
-                raise SimulationError(
-                    f"cannot schedule at t={time:.6f}, now is t={now:.6f}"
-                )
-            time = float(time)
-            seq = next_seq()
-            append((time, priority, seq,
-                    Event(time, priority, seq, callback, args, False, self)))
-        heapq.heapify(heap)
-        return len(entries)
+        if (self._running or self._heap or self._events_executed
+                or self._sched_dispatch is not None):
+            raise SimulationError(
+                "load_schedule needs a fresh simulator: nothing pending "
+                "and nothing executed"
+            )
+        times = np.asarray(times, dtype=np.float64)
+        priorities = np.asarray(priorities, dtype=np.int64)
+        if times.ndim != 1 or times.shape != priorities.shape:
+            raise SimulationError(
+                "schedule times and priorities must be 1-d and of equal "
+                f"length, got shapes {times.shape} and {priorities.shape}"
+            )
+        if not len(times):
+            return 0
+        finite = np.isfinite(times)
+        if not finite.all():
+            bad = float(times[~finite][0])
+            raise SimulationError(f"cannot schedule at non-finite time {bad!r}")
+        if times[0] < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={times[0]:.6f}, now is t={self._now:.6f}"
+            )
+        step = np.diff(times)
+        if ((step < 0) | ((step == 0) & (np.diff(priorities) < 0))).any():
+            raise SimulationError("schedule is not sorted by (time, priority)")
+        sched_times = times.tolist()
+        sched_times.append(_INF)
+        self._sched_times = sched_times
+        self._sched_prios = priorities.tolist()
+        self._sched_dispatch = dispatch
+        self._sched_pos = 0
+        return len(self._sched_prios)
+
+    def _release_schedule(self) -> None:
+        """Drop a consumed schedule, and with its dispatch callable
+        whatever per-entry data that callable holds."""
+        self._sched_times = _NO_SCHEDULE
+        self._sched_prios = ()
+        self._sched_dispatch = None
+        self._sched_pos = 0
 
     def _note_cancelled(self) -> None:
         """Account one cancellation; compact the heap when cancelled
@@ -239,11 +290,11 @@ class Simulator:
             self._cancelled = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Execute events in order until the heap drains or limits hit.
+        """Execute events in order until nothing is left or limits hit.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         Returns the simulation time when the run stopped.  The clock
-        advances to ``until`` even when the heap drains earlier, so a
+        advances to ``until`` even when the events run out earlier, so a
         subsequent ``run`` continues from there.
         """
         if self._running:
@@ -251,27 +302,47 @@ class Simulator:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
+        times = self._sched_times
+        prios = self._sched_prios
+        dispatch = self._sched_dispatch
+        pos = self._sched_pos
+        limit = _INF if until is None else until
         trace = self.trace
         if trace is not None:
             trace.emit(EngineRun(self._now, "begin", self._events_executed))
-        # Hoisted once per run() call: the loop below only pays a local
-        # boolean test, not an attribute walk, when tracing is off.
-        engine_events = trace is not None and trace.engine_events
         try:
             executed = 0
-            while heap:
-                time = heap[0][0]
-                if until is not None and time > until:
+            while True:
+                # The next schedule entry (the inf sentinel once none is
+                # left) runs unless the heap head is strictly earlier.
+                sched_time = times[pos]
+                if heap:
+                    head = heap[0]
+                    time = head[0]
+                    from_heap = time < sched_time or (
+                        time == sched_time and head[1] < prios[pos])
+                elif sched_time == _INF:
                     break
-                event = heappop(heap)[3]
-                if event.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
-                self._now = time
-                if engine_events:
-                    self._emit_engine_event(trace, event)
-                event.callback(*event.args)
+                else:
+                    from_heap = False
+                if from_heap:
+                    if time > limit:
+                        break
+                    heappop(heap)
+                    event = head[3]
+                    if event.cancelled:
+                        if self._cancelled > 0:
+                            self._cancelled -= 1
+                        continue
+                    self._now = time
+                    event.callback(*event.args)
+                else:
+                    if sched_time > limit:
+                        break
+                    self._now = sched_time
+                    pos += 1
+                    self._sched_pos = pos
+                    dispatch(pos - 1)
                 self._events_executed += 1
                 executed += 1
                 if max_events is not None and executed >= max_events:
@@ -280,42 +351,60 @@ class Simulator:
                 self._now = until
             return self._now
         finally:
+            if dispatch is not None and pos == len(prios):
+                self._release_schedule()
             self._running = False
             if trace is not None:
                 trace.emit(EngineRun(self._now, "end", self._events_executed))
 
-    @staticmethod
-    def _emit_engine_event(trace, event: Event) -> None:
-        """Per-executed-event record (``EventBus(engine_events=True)``
-        opt-in -- this is *per simulation event*, easily the highest
-        volume record in a trace)."""
-        callback = event.callback
-        name = getattr(callback, "__qualname__", None) or repr(callback)
-        bound = getattr(callback, "__self__", None)
-        owner = getattr(bound, "node_id", None) if bound is not None else None
-        trace.emit(EngineEvent(event.time, name, event.priority, owner))
-
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
 
-        Returns ``True`` if an event ran, ``False`` if the heap is empty.
+        Returns ``True`` if an event ran, ``False`` if nothing is left.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                continue
-            self._now = event.time
-            event.callback(*event.args)
+        if self._running:
+            raise SimulationError("step() cannot run inside run()")
+        # The merge test of run(), repeated rather than shared: run()
+        # brackets itself with engine.run records, and the live service
+        # calls step() once per event.
+        heap = self._heap
+        while True:
+            pos = self._sched_pos
+            sched_time = self._sched_times[pos]
+            if heap:
+                time, priority, _, event = heap[0]
+                if time < sched_time or (
+                        time == sched_time and priority < self._sched_prios[pos]):
+                    heappop(heap)
+                    if event.cancelled:
+                        if self._cancelled > 0:
+                            self._cancelled -= 1
+                        continue
+                    self._now = time
+                    event.callback(*event.args)
+                    self._events_executed += 1
+                    return True
+            if sched_time == _INF:
+                return False
+            dispatch = self._sched_dispatch
+            self._sched_pos = pos + 1
+            if pos + 1 == len(self._sched_prios):
+                self._release_schedule()
+            self._now = sched_time
+            dispatch(pos)
             self._events_executed += 1
             return True
-        return False
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` if drained."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
             if self._cancelled > 0:
                 self._cancelled -= 1
-        return self._heap[0][0] if self._heap else None
+        sched_time = self._sched_times[self._sched_pos]
+        if heap:
+            time = heap[0][0]
+            if time < sched_time:
+                return time
+        return None if sched_time == _INF else sched_time

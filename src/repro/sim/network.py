@@ -1,12 +1,13 @@
 """Contact-driven network: replays a contact trace over a node set.
 
-The network schedules a ``contact_started`` / ``contact_ended`` pair for
-every contact in the trace and brokers message transfers between nodes
-that are currently in contact.  Transfers are subject to a pluggable
-:class:`LinkModel`; the default is an unlimited link (the model used by
-the paper-style evaluation, where contacts are long relative to message
-sizes), and :class:`BandwidthLimitedLink` enforces a per-contact byte
-budget derived from contact duration.
+The network replays a ``contact_started`` / ``contact_ended`` pair for
+every contact in the trace, loaded into the simulator as one presorted
+schedule rather than as heap events, and brokers message transfers
+between nodes that are currently in contact.  Transfers are subject to a
+pluggable :class:`LinkModel`; the default is an unlimited link (the
+model used by the paper-style evaluation, where contacts are long
+relative to message sizes), and :class:`BandwidthLimitedLink` enforces a
+per-contact byte budget derived from contact duration.
 
 Deliveries are flattened through the event heap (scheduled at the current
 time) so protocol ping-pong during a contact cannot recurse unboundedly.
@@ -15,7 +16,10 @@ time) so protocol ping-pong during a contact cannot recurse unboundedly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Optional
+
+import numpy as np
 
 from repro.obs.records import (
     ContactClose,
@@ -27,6 +31,7 @@ from repro.obs.records import (
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.node import Node
+from repro.sim.soa import KIND_START, ContactEventStream
 from repro.sim.stats import Counter, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _PRIORITY_CONTACT_START = 0
 _PRIORITY_DELIVERY = 5
 _PRIORITY_CONTACT_END = 10
+
+_START_TIME = attrgetter("start")
 
 
 class LinkModel:
@@ -173,35 +180,55 @@ class ContactNetwork:
         self._online_listeners.append(listener)
 
     def _schedule_trace(self, contacts: Iterable["Contact"]) -> None:
-        # Batched: build the (start, end) entry pairs in contact order --
-        # the same sequence-number assignment as per-contact schedule_at
-        # calls -- and heapify once.  A large trace front-loads hundreds
-        # of thousands of events here before the run starts.
+        """Load the trace's contact events into the simulator as one
+        presorted schedule.
+
+        :class:`~repro.sim.soa.ContactEventStream` lays the events out in
+        the order per-contact ``schedule_at`` calls would have run them:
+        contact ``i`` gives its start sequence ``2i`` and its end
+        ``2i + 1``.  The vectorised executor replays the same stream, so
+        both executors share one contact order.
+        """
+        nodes = self.nodes
+        kept = [c for c in contacts if c.a in nodes and c.b in nodes]
+        self.stats.counter("net.contacts_scheduled").add(len(kept))
+        if not kept:
+            return
+        stream = ContactEventStream(kept, nodes)
+        is_start = stream.kind == KIND_START
+        # Start events come out in stable start-time order of ``kept``
+        # (the identity for a ContactTrace); a start entry carries its
+        # contact's duration, an end entry ``None``.
+        kept.sort(key=_START_TIME)
+        durations: list[Optional[float]] = [None] * stream.num_events
+        for pos, contact in zip(np.flatnonzero(is_start).tolist(), kept):
+            durations[pos] = contact.end - contact.start
+        a_ids = stream.a.tolist()
+        b_ids = stream.b.tolist()
         start_cb, end_cb = self._contact_start, self._contact_end
-        entries: list[tuple[float, int, Callable[..., None], tuple]] = []
-        for contact in contacts:
-            if contact.a not in self.nodes or contact.b not in self.nodes:
-                continue
-            entries.append((
-                contact.start, _PRIORITY_CONTACT_START, start_cb,
-                (contact.a, contact.b, contact.end - contact.start),
-            ))
-            entries.append((
-                contact.end, _PRIORITY_CONTACT_END, end_cb,
-                (contact.a, contact.b),
-            ))
-        self.sim.schedule_batch(entries)
-        self.stats.counter("net.contacts_scheduled").add(len(entries) // 2)
+
+        def dispatch(pos: int) -> None:
+            duration = durations[pos]
+            if duration is None:
+                end_cb(a_ids[pos], b_ids[pos])
+            else:
+                start_cb(a_ids[pos], b_ids[pos], duration)
+
+        self.sim.load_schedule(
+            stream.time,
+            np.where(is_start, _PRIORITY_CONTACT_START, _PRIORITY_CONTACT_END),
+            dispatch,
+        )
 
     def schedule_contact(self, a: int, b: int, start: float, end: float) -> bool:
         """Schedule one future contact at runtime (streaming ingestion).
 
         The live-service pipeline feeds contacts one at a time as they
         arrive from a stream, instead of front-loading the whole trace
-        at construction.  The two events use the same callbacks and
-        priorities as :meth:`_schedule_trace`, so a streamed contact is
-        indistinguishable from a pre-scheduled one once it is on the
-        heap.  Contacts touching unknown nodes are skipped (returns
+        at construction.  The two heap events use the same callbacks
+        and priorities as the schedule :meth:`_schedule_trace` loads,
+        so a streamed contact runs exactly as a pre-scheduled one
+        would.  Contacts touching unknown nodes are skipped (returns
         ``False``), mirroring the batch path's filter.
 
         The caller must not have advanced the clock past ``start``

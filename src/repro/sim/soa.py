@@ -1,23 +1,23 @@
-"""Struct-of-arrays contact schedule for the vectorised backend.
+"""Struct-of-arrays contact schedule shared by both executors.
 
-The object backend schedules two heap events per contact and pays a
-Python callback for each, whether or not the contact can move any data.
-:class:`ContactEventStream` flattens the same schedule into parallel
-NumPy arrays sorted by the *identical* ``(time, priority, seq)`` key the
-event heap uses, so the vectorised executor (:mod:`repro.core.soa`) can
+:class:`ContactEventStream` flattens a contact trace into parallel NumPy
+arrays sorted by the ``(time, priority, seq)`` key of the event heap.
+Both executors replay it:
 
-* slice the schedule into slabs and mask out, in one vector operation,
-  every contact whose endpoints are both protocol-inactive, and
-* walk the surviving events in exactly the order the heap would have
-  popped them.
+* the object executor (:class:`~repro.sim.network.ContactNetwork`)
+  loads it into the simulator as one presorted schedule that the run
+  loop merges with the heap of dynamic events;
+* the vectorised executor (:mod:`repro.core.soa`) slices it into slabs,
+  masks out in one vector operation every contact whose endpoints are
+  both protocol-inactive, and walks the surviving events in order.
 
-Ordering contract (mirrors ``ContactNetwork._schedule_trace``): contact
-``i`` of the trace gets sequence ``2i`` for its start (priority 0) and
-``2i + 1`` for its end (priority 10); all dynamically scheduled events
-(probes, source bumps, deliveries) receive later sequence numbers, so at
-an equal timestamp the static starts always precede them.  Priority is a
-function of the event kind here (start=0, end=10), so sorting by
-``(time, kind, seq)`` reproduces the heap order exactly.
+Ordering contract: contact ``i`` of the trace gets sequence ``2i`` for
+its start (priority 0) and ``2i + 1`` for its end (priority 10); all
+dynamically scheduled events (probes, source bumps, deliveries) receive
+later sequence numbers, so at an equal ``(time, priority)`` the static
+event always precedes them.  Priority is a function of the event kind
+here (start=0, end=10), so sorting by ``(time, kind, seq)`` reproduces
+the heap order exactly.
 
 Construction is array-native: when the contact starts are already
 non-decreasing (every :class:`~repro.mobility.trace.ContactTrace` and
@@ -88,8 +88,8 @@ class ContactEventStream:
     contacts:
         Iterable of :class:`~repro.mobility.trace.Contact` (a
         :class:`~repro.mobility.trace.ContactTrace` works as-is).
-        Contacts touching unknown nodes are dropped, matching
-        ``ContactNetwork._schedule_trace``.
+        Contacts touching unknown nodes are dropped, as
+        ``ContactNetwork`` drops them.
     node_ids:
         The node population.  Node *indices* (positions in the sorted id
         tuple) index the executor's vectorised per-node state.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from array import array
 from typing import Iterator, Optional
 
 #: When True, newly created :class:`Tally` instruments keep a bounded
@@ -177,14 +178,19 @@ class Tally:
 
 
 class TimeSeries:
-    """(time, value) samples recorded over a run."""
+    """(time, value) samples recorded over a run.
+
+    ``times`` and ``values`` are ``array('d')``: 8 bytes a sample and no
+    float object each, so a finished run's probe series stay small
+    while they wait for the cyclic collector.
+    """
 
     __slots__ = ("name", "times", "values")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.times: list[float] = []
-        self.values: list[float] = []
+        self.times = array("d")
+        self.values = array("d")
 
     def record(self, time: float, value: float) -> None:
         self.times.append(time)

@@ -1,5 +1,7 @@
 """Unit and property tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,17 +330,27 @@ class TestCancelledCompaction:
 
 
 class TestScheduleBatch:
-    """Bulk scheduling must be indistinguishable (in pop order) from the
-    equivalent sequence of ``schedule_at`` calls."""
+    """A loaded schedule must run in the order of the equivalent
+    sequence of ``schedule_at`` calls made before anything else."""
+
+    @staticmethod
+    def load(sim, spec, fired):
+        """Load ``(time, priority, tag)`` entries, firing ``tag``."""
+        return sim.load_schedule(
+            [time for time, _, _ in spec],
+            [priority for _, priority, _ in spec],
+            lambda pos: fired.append(spec[pos][2]),
+        )
 
     def test_empty_batch_is_noop(self):
         sim = Simulator()
-        assert sim.schedule_batch([]) == 0
+        assert self.load(sim, [], []) == 0
         sim.run()
         assert sim.events_executed == 0
+        assert sim.peek_time() is None
 
     def test_batch_matches_sequential_pop_order(self):
-        spec = [(float(i % 5), i % 3, i) for i in range(200)]
+        spec = sorted((float(i % 5), i % 3, i) for i in range(200))
 
         fired_seq = []
         sim_seq = Simulator()
@@ -349,37 +361,41 @@ class TestScheduleBatch:
 
         fired_batch = []
         sim_batch = Simulator()
-        count = sim_batch.schedule_batch(
-            [(time, priority, fired_batch.append, (tag,))
-             for time, priority, tag in spec]
-        )
+        count = self.load(sim_batch, spec, fired_batch)
+        assert sim_batch.pending == len(spec)
         sim_batch.run()
 
         assert count == len(spec)
         assert fired_batch == fired_seq
+        assert sim_batch.events_executed == len(spec)
+        assert sim_batch.pending == 0
 
     def test_batch_interleaves_with_dynamic_events(self):
-        """Events scheduled after the batch (dynamic protocol events)
-        break time/priority ties *after* the batch entries, exactly as
-        with sequential scheduling."""
+        """Events scheduled after the load (dynamic protocol events)
+        break time/priority ties *after* the schedule's entries, exactly
+        as with sequential scheduling."""
         fired = []
         sim = Simulator()
-        sim.schedule_batch([(1.0, 0, fired.append, ("static",))])
+        self.load(sim, [(1.0, 0, "static"), (2.0, 5, "static-5")], fired)
         sim.schedule_at(1.0, fired.append, "dynamic", priority=0)
+        sim.schedule_at(2.0, fired.append, "dynamic-0", priority=0)
+        sim.schedule_at(2.0, fired.append, "dynamic-5", priority=5)
+        assert sim.peek_time() == 1.0
         sim.run()
-        assert fired == ["static", "dynamic"]
+        assert fired == ["static", "dynamic", "dynamic-0", "static-5",
+                         "dynamic-5"]
 
     def test_batch_rejects_past_times(self):
-        sim = Simulator()
-        sim.schedule_at(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_batch([(1.0, 0, lambda: None, ())])
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(SimulationError, match="now is"):
+            self.load(sim, [(1.0, 0, "late")], [])
 
     def test_batch_rejects_non_finite_times(self):
         sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_batch([(float("nan"), 0, lambda: None, ())])
+        with pytest.raises(SimulationError, match="non-finite"):
+            self.load(sim, [(float("nan"), 0, "nan")], [])
+        with pytest.raises(SimulationError, match="non-finite"):
+            self.load(sim, [(0.0, 0, "ok"), (float("inf"), 0, "inf")], [])
 
     @given(st.lists(
         st.tuples(
@@ -391,16 +407,117 @@ class TestScheduleBatch:
     ))
     @settings(max_examples=50, deadline=None)
     def test_batch_pop_order_property(self, pairs):
-        spec = [(time, priority, i)
-                for i, (time, priority) in enumerate(pairs)]
+        spec = sorted((time, priority, i)
+                      for i, (time, priority) in enumerate(pairs))
         fired = []
         sim = Simulator()
-        sim.schedule_batch(
-            [(time, priority, fired.append, (tag,))
-             for time, priority, tag in spec]
-        )
+        self.load(sim, spec, fired)
+        # dynamic events on the same keys run after the schedule's
+        for time, priority, tag in spec:
+            sim.schedule_at(time, fired.append, -1 - tag, priority=priority)
         sim.run()
-        assert fired == [
-            tag for (_, _, tag) in
-            sorted(spec, key=lambda e: (e[0], e[1], e[2]))
-        ]
+        # (time, priority, insertion order): every entry before any event
+        order = [(time, priority, k, tag)
+                 for k, (time, priority, tag) in enumerate(spec)]
+        order += [(time, priority, len(spec) + k, -1 - tag)
+                  for k, (time, priority, tag) in enumerate(spec)]
+        assert fired == [tag for (_, _, _, tag) in sorted(order)]
+
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_consumed_batch_is_released(self, drive):
+        """The simulator drops a schedule once it has run every entry,
+        and with it the dispatch callable and whatever that holds."""
+
+        class Dispatch:
+            def __init__(self):
+                self.fired = []
+
+            def __call__(self, pos):
+                self.fired.append(pos)
+
+        sim = Simulator()
+        dispatch = Dispatch()
+        fired = dispatch.fired
+        sim.load_schedule([1.0, 2.0], [0, 10], dispatch)
+        released = weakref.ref(dispatch)
+        del dispatch
+        if drive == "run":
+            sim.run(until=1.5)
+        else:
+            sim.step()
+        assert released() is not None
+        assert sim.pending == 1
+        if drive == "run":
+            sim.run()
+        else:
+            sim.step()
+        assert released() is None
+        assert fired == [0, 1]
+        assert sim.pending == 0
+        assert sim.events_executed == 2
+
+
+class TestLoadScheduleMisuse:
+    """The merge is exact only for a schedule loaded first."""
+
+    def test_rejects_pending_events(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="fresh simulator"):
+            sim.load_schedule([2.0], [0], lambda pos: None)
+
+    def test_rejects_executed_events(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="fresh simulator"):
+            sim.load_schedule([2.0], [0], lambda pos: None)
+
+    def test_rejects_a_second_schedule(self):
+        sim = Simulator()
+        sim.load_schedule([1.0], [0], lambda pos: None)
+        with pytest.raises(SimulationError, match="fresh simulator"):
+            sim.load_schedule([2.0], [0], lambda pos: None)
+
+    def test_rejects_loading_inside_run(self):
+        sim = Simulator()
+        errors = []
+
+        def load():
+            try:
+                sim.load_schedule([2.0], [0], lambda pos: None)
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.schedule_at(1.0, load)
+        sim.run()
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("times,priorities", [
+        ([2.0, 1.0], [0, 0]),
+        ([1.0, 1.0], [10, 0]),
+    ])
+    def test_rejects_unsorted_entries(self, times, priorities):
+        with pytest.raises(SimulationError, match="not sorted"):
+            Simulator().load_schedule(times, priorities, lambda pos: None)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(SimulationError, match="equal"):
+            Simulator().load_schedule([1.0, 2.0], [0], lambda pos: None)
+
+    def test_step_inside_run_raises(self):
+        sim = Simulator()
+        errors = []
+
+        def nested_step():
+            try:
+                sim.step()
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.load_schedule([1.0, 2.0], [0, 0], lambda pos: None)
+        sim.schedule_at(1.0, nested_step)
+        sim.run()
+        assert len(errors) == 1
+        assert sim.events_executed == 3
