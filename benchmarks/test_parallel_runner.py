@@ -1,4 +1,4 @@
-"""Benchmark: parallel sweep vs the serial loop, plus engine speedup.
+"""Benchmark: parallel sweep vs the serial loop.
 
 The equality asserts are the load-bearing part -- a parallel run must
 merge byte-identically to serial.  Wall-clock is measured and reported
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.experiments.artifacts import cache_clear
-from repro.experiments.bench import available_cpus, engine_benchmark
+from repro.experiments.bench import available_cpus
 from repro.experiments.config import Settings
 from repro.experiments.runner import run_replicated
 
@@ -45,17 +45,6 @@ def test_parallel_sweep_matches_serial(benchmark):
     parallel_seconds = benchmark.stats.stats.mean
     if available_cpus() >= 4:
         assert parallel_seconds < serial_seconds  # 16 jobs over 4 workers
-
-
-def test_engine_beats_legacy_dataclass_heap(benchmark):
-    """Events/sec of the tuple-heap engine vs the order=True dataclass
-    reference; the optimisation claim is >=15% on this workload."""
-    report = benchmark.pedantic(
-        engine_benchmark, kwargs={"num_events": 50_000, "repeats": 1},
-        rounds=1, iterations=1,
-    )
-    assert report["events_per_sec"] > 0
-    assert report["improvement_pct"] >= 15.0
 
 
 @pytest.mark.parametrize("jobs", [2])

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.contacts import rates as rates_module
 from repro.contacts.centrality import (
     betweenness_centrality,
     contact_centrality,
@@ -51,11 +50,7 @@ def select_caching_nodes(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if (
-        rates.is_array_backed
-        and rates_module.VECTORISED_RATES
-        and metric in ("contact", "degree")
-    ):
+    if rates.is_array_backed and metric in ("contact", "degree"):
         return _select_array(rates, k, metric, window, exclude)
     candidates = sorted(rates.nodes() - (exclude or set()))
     if len(candidates) < k:
@@ -89,7 +84,7 @@ def _select_array(
 ) -> list[int]:
     """Array fast path: score candidates and rank without dicts.
 
-    Produces the same selection as the scalar path -- candidates ascend,
+    Produces the same selection as the dict path -- candidates ascend,
     scores accumulate in the same order, and the ranking key is
     ``(-score, id)`` like :func:`rank_nodes`.
     """

@@ -13,7 +13,7 @@
     repro predict --scheme hdr ...    # closed-form freshness predictions
     repro serve --source replay ...   # live service: stream contacts + HTTP API
     repro loadgen --rate 2000 ...     # fire Zipf queries at the live service
-    repro bench [-o BENCH.json]       # engine/sweep/scheme/trace-gen benchmarks
+    repro bench [-o BENCH.json]       # sweep/soa/scale/obs/service benchmarks
     repro profile [--scheme hdr]      # cProfile one reference simulation
 """
 
@@ -821,7 +821,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.bench import (
-        check_engine_regression,
         check_scale_regression,
         check_service_regression,
         run_benchmarks,
@@ -830,10 +829,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if _resolve_jobs_or_complain(args.jobs) is None:
         return 2
     report = run_benchmarks(jobs=args.jobs, path=args.output, quick=args.quick)
-    engine = report["engine"]
-    print(f"engine    : {engine['events_per_sec']:,.0f} events/s "
-          f"(legacy {engine['legacy_events_per_sec']:,.0f}, "
-          f"{engine['improvement_pct']:+.1f}%)")
     sweep = report["sweep"]
     if "skipped" in sweep:
         print(f"sweep     : skipped ({sweep['skipped']}, "
@@ -844,10 +839,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"sweep     : serial {sweep['serial_seconds']:.2f}s, "
               f"jobs={sweep['jobs']} {sweep['parallel_seconds']:.2f}s "
               f"({sweep['speedup']:.2f}x on {sweep['cpus']} cpu(s))")
-    scheme = report["scheme"]
-    print(f"scheme    : optimised {scheme['optimised_seconds']:.2f}s, "
-          f"legacy {scheme['legacy_seconds']:.2f}s "
-          f"({scheme['speedup']:.2f}x, identical={scheme['identical']})")
     soa = report["soa"]
     print(f"soa       : object {soa['object_seconds']:.2f}s, "
           f"soa {soa['soa_seconds']:.2f}s over {soa['runs']} runs "
@@ -872,10 +863,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"RSS ceiling {scale['rss_ceiling_mb']:.0f} MB, "
           f"build floor {scale['build_floor_contacts_per_sec']:,.0f} "
           f"contacts/s at {scale['build_floor_min_nodes']:,}+ nodes")
-    for name, row in report["trace_gen"]["profiles"].items():
-        print(f"trace_gen : {name}: vectorised {row['vectorised_seconds']:.2f}s, "
-              f"scalar {row['scalar_seconds']:.2f}s "
-              f"({row['speedup']:.2f}x, identical={row['identical']})")
     obs = report["obs"]
     print(f"obs       : untraced {obs['untraced_seconds']:.2f}s, "
           f"traced {obs['traced_seconds']:.2f}s "
@@ -919,10 +906,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"wrote {args.output}")
     status = 0
     if args.check_baseline is not None:
-        ok, message = check_engine_regression(report, args.check_baseline)
-        print(("ok  : " if ok else "FAIL: ") + message)
-        if not ok:
-            status = 1
         ok, message = check_scale_regression(report, args.check_baseline)
         print(("ok  : " if ok else "FAIL: ") + message)
         if not ok:
@@ -931,15 +914,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(("ok  : " if ok else "FAIL: ") + message)
         if not ok:
             status = 1
-    if not report["scheme"]["identical"]:
-        print("FAIL: scheme benchmark diverged from the legacy paths")
-        status = 1
     if not report["soa"]["identical"]:
         print("FAIL: soa backend diverged from the object backend")
-        status = 1
-    if any(not row["identical"]
-           for row in report["trace_gen"]["profiles"].values()):
-        print("FAIL: vectorised trace generation diverged from scalar")
         status = 1
     if not report["obs"]["identical"]:
         print("FAIL: traced run metrics diverged from the untraced run")
@@ -1244,7 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
     _loadgen_arguments(loadgen_parser)
 
     bench_parser = sub.add_parser(
-        "bench", help="engine/sweep/scheme/trace-gen benchmarks"
+        "bench", help="sweep/soa/scale/obs/faults/theory/service benchmarks"
     )
     bench_parser.add_argument("--jobs", "-j", type=int, default=4,
                               help="worker processes for the sweep half")
@@ -1255,8 +1231,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--quick", action="store_true",
                               help="shrunken workloads for CI smoke runs")
     bench_parser.add_argument("--check-baseline", metavar="FILE", default=None,
-                              help="fail (exit 1) if engine events/sec drops "
-                              ">30%% below this committed report")
+                              help="fail (exit 1) if scale events/sec or "
+                              "service p95 latency regresses >30%% against "
+                              "this committed report")
 
     profile_parser = sub.add_parser(
         "profile", help="cProfile one reference-scenario simulation run"

@@ -16,8 +16,7 @@ path) or a :class:`repro.mobility.arrays.ContactArrays` (array path).
 On arrays they run fully vectorised -- pairs keyed by packing
 ``(a, b)`` into one int64 and grouped with ``np.unique``, EWMA gaps
 reduced round-by-round -- and produce bit-identical tables to the
-scalar path, which stays available as a cross-check behind
-:data:`VECTORISED_RATES` (flipped by ``repro bench``'s legacy mode).
+object path.
 """
 
 from __future__ import annotations
@@ -32,13 +31,6 @@ from repro.sim.node import Node, ProtocolHandler
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.arrays import ContactArrays
     from repro.mobility.trace import ContactTrace
-
-#: When True (default), estimation on :class:`ContactArrays` inputs and
-#: :meth:`RateTable.matrix` use the vectorised implementations.  The
-#: scalar paths are kept as the cross-check reference; ``repro bench``
-#: flips this flag in legacy mode and the bit-identity tests compare the
-#: two directly.
-VECTORISED_RATES = True
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -249,8 +241,6 @@ class RateTable:
 
     def matrix(self, node_ids: list[int]) -> np.ndarray:
         """Dense rate matrix in the order of ``node_ids``."""
-        if not VECTORISED_RATES:
-            return self._matrix_scalar(node_ids)
         ids = np.asarray(list(node_ids), dtype=np.int64)
         out = np.zeros((len(ids), len(ids)))
         if len(self) == 0 or len(ids) == 0:
@@ -265,16 +255,6 @@ class RateTable:
         cols = order[bi[valid]]
         out[rows, cols] = r[valid]
         out[cols, rows] = r[valid]
-        return out
-
-    def _matrix_scalar(self, node_ids: list[int]) -> np.ndarray:
-        """Reference dict-loop implementation (cross-check path)."""
-        index = {nid: k for k, nid in enumerate(node_ids)}
-        out = np.zeros((len(node_ids), len(node_ids)))
-        for (a, b), rate in self.pairs():
-            if a in index and b in index:
-                out[index[a], index[b]] = rate
-                out[index[b], index[a]] = rate
         return out
 
     def __len__(self) -> int:
@@ -309,9 +289,7 @@ def mle_rates(
     if window <= 0:
         raise ValueError(f"empty estimation window [{start}, {end}]")
     if _is_arrays(trace):
-        if VECTORISED_RATES:
-            return _mle_rates_arrays(trace, start, end, window)
-        return mle_rates(trace.to_trace(), t0=start, t1=end)
+        return _mle_rates_arrays(trace, start, end, window)
     counts: dict[tuple[int, int], int] = {}
     for c in trace:
         if start <= c.start < end:
@@ -352,9 +330,7 @@ def ewma_rates(
         raise ValueError("alpha must be in (0, 1]")
     horizon = trace.end_time if t1 is None else t1
     if _is_arrays(trace):
-        if VECTORISED_RATES:
-            return _ewma_rates_arrays(trace, alpha, horizon)
-        return ewma_rates(trace.to_trace(), alpha=alpha, t1=horizon)
+        return _ewma_rates_arrays(trace, alpha, horizon)
     table = RateTable()
     for pair, contacts in trace.pair_contacts().items():
         gaps = [n.start - p.end for p, n in zip(contacts, contacts[1:]) if n.start > p.end]
@@ -377,7 +353,7 @@ def _ewma_rates_arrays(trace: "ContactArrays", alpha: float,
     if n == 0:
         return RateTable()
     # Pair-grouped, time-ordered view: within a pair, (start, end) order
-    # matches the trace iteration order the scalar path consumes.
+    # matches the trace iteration order the object path consumes.
     order = np.lexsort((trace.end, trace.start, trace.b, trace.a))
     s = trace.start[order]
     e = trace.end[order]
@@ -402,7 +378,7 @@ def _ewma_rates_arrays(trace: "ContactArrays", alpha: float,
     est = np.zeros(num_pairs)
     est[has_gaps] = gvals[goff[has_gaps]]
     # Round r folds in every pair's r-th gap at once; the per-element
-    # float op sequence is exactly the scalar recurrence's.
+    # float op sequence is exactly the object path's recurrence.
     max_rounds = int(gcount.max()) if num_pairs else 0
     one_minus = 1 - alpha
     for r in range(1, max_rounds):

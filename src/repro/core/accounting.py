@@ -21,10 +21,8 @@ entry acts as a tombstone check).
 
 The brute-force recompute in
 :meth:`SchemeRuntime.freshness_snapshot
-<repro.core.scheme.SchemeRuntime.freshness_snapshot>` is kept behind a
-debug flag for equivalence testing; the module-level
-:data:`INCREMENTAL_BOOKKEEPING` switch restores the pre-optimisation
-behaviour globally (the benchmark harness flips it to measure the win).
+<repro.core.scheme.SchemeRuntime.freshness_snapshot>` (``recompute=True``)
+is kept as the reference the accountant is tested against.
 """
 
 from __future__ import annotations
@@ -33,13 +31,6 @@ from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from repro.caching.items import CacheEntry, DataCatalog
-
-#: Master switch for the incremental bookkeeping introduced in this
-#: layer: the O(1) freshness probe, the per-contact task index and the
-#: gossip watermarks (see :mod:`repro.core.refresh`).  ``False`` restores
-#: the recompute-everything code paths -- kept for equivalence tests and
-#: the ``repro bench`` before/after comparison.
-INCREMENTAL_BOOKKEEPING = True
 
 
 class _Slot:

@@ -31,7 +31,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.contacts import rates as rates_module
 from repro.contacts.rates import RateTable
 
 
@@ -204,46 +203,25 @@ def build_tree(
         return cap - len(tree.children_of(node))
 
     # Priority queue of candidate links (-rate, parent_depth, parent, child):
-    # strongest edges claim responsibility first.
+    # strongest edges claim responsibility first.  Rates come from one
+    # submatrix lookup up front; each placement pushes its positive-rate
+    # row against the unplaced mask.
     heap: list[tuple[float, int, int, int]] = []
+    ids = [root] + members
+    idx = {nid: i for i, nid in enumerate(ids)}
+    sub = rates.matrix(ids)
+    placed = np.zeros(len(ids), dtype=bool)
+    placed[0] = True
+    ids_arr = np.asarray(ids, dtype=np.int64)
 
-    if rates_module.VECTORISED_RATES:
-        # Bulk candidate construction: one vectorised submatrix lookup up
-        # front, then each placement pushes its whole positive-rate row
-        # against the unplaced mask.  Entry values (and therefore heap pop
-        # order, a total order over unique tuples) match the per-child
-        # lookup path exactly.
-        ids = [root] + members
-        idx = {nid: i for i, nid in enumerate(ids)}
-        sub = rates.matrix(ids)
-        placed = np.zeros(len(ids), dtype=bool)
-        placed[0] = True
-        ids_arr = np.asarray(ids, dtype=np.int64)
-
-        def push_candidates(parent: int) -> None:
-            depth = tree.depth[parent]
-            if depth >= max_depth:
-                return
-            row = sub[idx[parent]]
-            cand = ~placed & (row > 0)
-            for rate, child in zip(row[cand].tolist(), ids_arr[cand].tolist()):
-                heapq.heappush(heap, (-rate, depth, parent, child))
-
-        def mark_placed(child: int) -> None:
-            placed[idx[child]] = True
-
-    else:
-
-        def push_candidates(parent: int) -> None:
-            if tree.depth[parent] >= max_depth:
-                return
-            for child in unplaced:
-                rate = rates.rate(parent, child)
-                if rate > 0:
-                    heapq.heappush(heap, (-rate, tree.depth[parent], parent, child))
-
-        def mark_placed(child: int) -> None:
-            pass
+    def push_candidates(parent: int) -> None:
+        depth = tree.depth[parent]
+        if depth >= max_depth:
+            return
+        row = sub[idx[parent]]
+        cand = ~placed & (row > 0)
+        for rate, child in zip(row[cand].tolist(), ids_arr[cand].tolist()):
+            heapq.heappush(heap, (-rate, depth, parent, child))
 
     push_candidates(root)
     while unplaced and heap:
@@ -254,7 +232,7 @@ def build_tree(
             continue
         tree.attach(child, parent)
         unplaced.discard(child)
-        mark_placed(child)
+        placed[idx[child]] = True
         push_candidates(child)
     # Fallback for nodes with no positive rate to anyone placed: attach
     # to the shallowest parent with capacity.

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.caching.items import CacheEntry, DataCatalog, DataItem, VersionHistory
 from repro.caching.store import CacheStore
-from repro.core import accounting
 from repro.obs.records import TaskCreate, TaskDrop
 
 from repro.sim.messages import Message
@@ -72,7 +71,7 @@ class _PendingRefresh:
     """A version this node must still deliver to one target.
 
     ``seq`` replicates dict insertion order so the indexed contact path
-    can process tasks in exactly the order the full-scan path would
+    processes tasks in exactly the order a scan of ``tasks`` would
     (replacing a live task keeps its position, like a dict value
     assignment; re-creating a dropped key moves it to the end).
     """
@@ -213,8 +212,8 @@ class HdrRefreshHandler(ProtocolHandler):
         self._recruitable: set[tuple[int, int]] = set()
         self._task_seq = 0
         #: min-heap of (expiry, key, version) -- lets the indexed path
-        #: garbage-collect expired tasks at exactly the contacts the
-        #: full scan would, which matters because a drop frees the
+        #: garbage-collect expired tasks at exactly the contacts a scan
+        #: of every task would, which matters because a drop frees the
         #: task's dict slot (a later re-add appends instead of
         #: replacing in place, changing processing order).  Entries go
         #: stale when a task is dropped or replaced; the version check
@@ -350,16 +349,13 @@ class HdrRefreshHandler(ProtocolHandler):
 
         The indexed path visits only tasks targeting ``peer`` plus the
         recruit-capable ones, in task-creation (``seq``) order -- exactly
-        the order the full scan would process them, so the message
-        sequence is identical.  Expired tasks are garbage-collected from
-        the expiry heap first, which reproduces the full scan's drop
-        timing exactly (the scan drops *every* expired task on *every*
-        contact, and a drop frees the dict slot a later re-add would
-        otherwise replace in place).
+        the order a scan of every task would process them, so the
+        message sequence is identical.  Expired tasks are
+        garbage-collected from the expiry heap first, which reproduces
+        the scan's drop timing exactly (the scan drops *every* expired
+        task on *every* contact, and a drop frees the dict slot a later
+        re-add would otherwise replace in place).
         """
-        if not accounting.INCREMENTAL_BOOKKEEPING:
-            self._process_tasks_scan(peer)
-            return
         now = self.node.sim.now
         expiry_heap = self._task_expiry
         while expiry_heap and expiry_heap[0][0] <= now:
@@ -393,21 +389,6 @@ class HdrRefreshHandler(ProtocolHandler):
                 self.stats.counter("refresh.tasks_expired").add(1)
                 continue
             if pid == target:
-                self._deliver_to_target(item, target, task, peer, peer_handler)
-            elif task.may_recruit:
-                self._maybe_recruit(item, target, task, peer, peer_handler)
-
-    def _process_tasks_scan(self, peer: Node) -> None:
-        """Pre-index full scan, kept for equivalence testing/benchmarks."""
-        now = self.node.sim.now
-        peer_handler = peer.find_handler(HdrRefreshHandler)
-        for (item_id, target), task in list(self.tasks.items()):
-            item = self.catalog.get(item_id)
-            if now >= task.version_time + item.lifetime:
-                self._drop_task((item_id, target), reason="expired")
-                self.stats.counter("refresh.tasks_expired").add(1)
-                continue
-            if peer.node_id == target:
                 self._deliver_to_target(item, target, task, peer, peer_handler)
             elif task.may_recruit:
                 self._maybe_recruit(item, target, task, peer, peer_handler)
@@ -679,26 +660,22 @@ class InvalidationRefreshHandler(ProtocolHandler):
         if not self.notices:
             return
         pid = peer.node_id
-        if accounting.INCREMENTAL_BOOKKEEPING:
-            if self._peer_known.get(pid) == len(self.notices):
-                return
-            seen = self._peer_seen.get(pid)
-            if seen is None:
-                seen = self._peer_seen[pid] = {}
-                self._peer_known[pid] = 0
-        else:
-            seen = None
+        if self._peer_known.get(pid) == len(self.notices):
+            return
+        seen = self._peer_seen.get(pid)
+        if seen is None:
+            seen = self._peer_seen[pid] = {}
+            self._peer_known[pid] = 0
         peer_handler = peer.find_handler(InvalidationRefreshHandler)
         if not isinstance(peer_handler, InvalidationRefreshHandler):
             return
         now = self.node.sim.now
         for item_id, (version, version_time) in self.notices.items():
-            if seen is not None:
-                wm = seen.get(item_id, 0)
-                if wm >= version:
-                    continue
+            wm = seen.get(item_id, 0)
+            if wm >= version:
+                continue
             peer_version = peer_handler.noticed_version(item_id)
-            if seen is not None and peer_version > wm:
+            if peer_version > wm:
                 seen[item_id] = peer_version
                 if peer_version >= version:
                     self._peer_known[pid] += 1
@@ -893,31 +870,27 @@ class FloodingRefreshHandler(ProtocolHandler):
         if not self.carried:
             return
         pid = peer.node_id
-        if accounting.INCREMENTAL_BOOKKEEPING:
-            if self._peer_known.get(pid) == len(self.carried):
-                # Every carried version was already observed at the peer,
-                # so the scan below would skip every item.
-                return
-            seen = self._peer_seen.get(pid)
-            if seen is None:
-                seen = self._peer_seen[pid] = {}
-                self._peer_known[pid] = 0
-        else:
-            seen = None
+        if self._peer_known.get(pid) == len(self.carried):
+            # Every carried version was already observed at the peer,
+            # so the scan below would skip every item.
+            return
+        seen = self._peer_seen.get(pid)
+        if seen is None:
+            seen = self._peer_seen[pid] = {}
+            self._peer_known[pid] = 0
         peer_handler = peer.find_handler(FloodingRefreshHandler)
         if not isinstance(peer_handler, FloodingRefreshHandler):
             return
         now = self.node.sim.now
         for item_id, (version, version_time) in self.carried.items():
-            if seen is not None:
-                wm = seen.get(item_id, 0)
-                if wm >= version:
-                    continue
+            wm = seen.get(item_id, 0)
+            if wm >= version:
+                continue
             item = self.catalog.get(item_id)
             if now >= version_time + item.lifetime:
                 continue
             peer_version = peer_handler.known_version(item_id)
-            if seen is not None and peer_version > wm:
+            if peer_version > wm:
                 seen[item_id] = peer_version
                 if peer_version >= version:
                     self._peer_known[pid] += 1

@@ -46,9 +46,7 @@ from repro.caching.onpath import OnPathConfig, attach_onpath
 from repro.caching.placement import PlacementPolicy
 from repro.caching.query import QueryManager
 from repro.caching.store import CacheStore, EvictionPolicy
-from repro.contacts import rates as rates_module
 from repro.contacts.rates import RateTable, mle_rates
-from repro.core import accounting
 from repro.core.accounting import FreshnessAccountant
 from repro.core.hierarchy import RefreshTree, build_tree, random_tree, star_tree
 from repro.core.refresh import (
@@ -185,9 +183,7 @@ class SchemeRuntime:
         """Start the network and advance the simulation to ``until``."""
         return self.network.run(until=until)
 
-    def freshness_snapshot(
-        self, recompute: Optional[bool] = None
-    ) -> tuple[int, int, int]:
+    def freshness_snapshot(self, recompute: bool = False) -> tuple[int, int, int]:
         """``(fresh, valid, total)`` over all (caching node, item) slots.
 
         *Fresh* means the cached version is the source's current version
@@ -196,12 +192,9 @@ class SchemeRuntime:
 
         Served from the incremental :class:`FreshnessAccountant` in O(1)
         per call.  ``recompute=True`` forces the original brute-force
-        O(caching_nodes x catalog) scan -- the debug path equivalence
-        tests compare against; ``recompute=None`` follows the global
-        :data:`repro.core.accounting.INCREMENTAL_BOOKKEEPING` switch.
+        O(caching_nodes x catalog) scan -- the reference equivalence
+        tests compare against.
         """
-        if recompute is None:
-            recompute = not accounting.INCREMENTAL_BOOKKEEPING
         if not recompute and self.accountant is not None:
             return self.accountant.snapshot(self.sim.now)
         now = self.sim.now
@@ -704,23 +697,13 @@ def _plan_tree(
     depth = max(1, tree.max_depth)
     hop_window = window / depth
     hop_target = decompose_requirement(p_req, depth)
-    vectorised = rates_module.VECTORISED_RATES
-    if vectorised:
-        all_nodes_arr = np.asarray(all_nodes, dtype=np.int64)
+    all_nodes_arr = np.asarray(all_nodes, dtype=np.int64)
     for parent, child in tree.edges():
-        if vectorised:
-            candidates = _relay_candidates(rates, parent, child, all_nodes_arr)
-        else:
-            candidates = [
-                (relay, rates.rate(parent, relay), rates.rate(relay, child))
-                for relay in all_nodes
-                if relay not in (parent, child)
-            ]
         plans[(item_id, parent, child)] = plan_edge(
             parent,
             child,
             direct_rate=rates.rate(parent, child),
-            relay_candidates=candidates,
+            relay_candidates=_relay_candidates(rates, parent, child, all_nodes_arr),
             window=hop_window,
             target=hop_target,
             max_relays=max_relays,
@@ -749,8 +732,8 @@ def _relay_candidates(
         up_ids, down_ids, assume_unique=True, return_indices=True
     )
     keep = (common != parent) & (common != child)
-    # Restrict to the node population the scalar enumeration walks (a
-    # rate table may cover nodes outside the trace).
+    # Restrict to ``all_nodes`` (a rate table may cover nodes outside
+    # the trace).
     pos = np.searchsorted(all_nodes_arr, common).clip(0, len(all_nodes_arr) - 1)
     keep &= all_nodes_arr[pos] == common
     return list(

@@ -28,9 +28,8 @@ The per-node protocol state (task tables, neighbour sets, carried
 version maps) mirrors :mod:`repro.core.refresh` operation-for-operation
 -- including dict-slot and set-iteration order -- so a SoA run is
 ``RunMetrics.same_as``-identical to the object backend on every
-supported scheme.  The cross-check lives in the scheme benchmark's
-``soa`` section and the property tests; the pattern follows the
-``INCREMENTAL_BOOKKEEPING`` equivalence gate from PR 2.
+supported scheme.  The cross-check lives in ``tests/test_soa.py`` and
+the ``soa`` section of ``repro bench``.
 
 Unsupported in this backend (build raises ``ValueError``): the
 ``invalidate`` scheme, the query plane, fault injection, event tracing,

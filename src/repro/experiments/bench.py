@@ -1,14 +1,7 @@
-"""Performance benchmarks: engine, sweep, scheme bookkeeping, trace gen,
-and observability overhead.
+"""Performance benchmarks: sweep, backends, scale, observability,
+faults, the analytical model and the live service.
 
-Five measurements back the performance claims in the README:
-
-* **engine micro-benchmark** -- a heap-heavy synthetic workload (many
-  pending self-rescheduling timers, a sprinkling of cancellations) run
-  through the current :class:`~repro.sim.engine.Simulator` and through
-  an embedded *legacy* reference engine that stores ``order=True``
-  dataclass events directly in the heap (the pre-optimisation design).
-  Reported as events/sec plus the speedup of current over legacy.
+Seven measurements back the performance claims in the README:
 
 * **sweep benchmark** -- a 4-seed x 4-scheme comparison sweep executed
   serially (``jobs=1``) and through the process pool (``jobs=4`` by
@@ -17,14 +10,6 @@ Five measurements back the performance claims in the README:
   wall-clock seconds plus the parallel speedup.  Skipped (marked
   ``"skipped": "1 cpu"``) on single-CPU machines, where a process pool
   can only add overhead.
-
-* **scheme benchmark** -- the reference sweep (paper-scale caching-node
-  and item counts, 60 s freshness sampling) run serially with the
-  incremental bookkeeping on (default) and off (``legacy``): the
-  brute-force freshness probe, the full task scan and per-contact
-  version peeks, and scalar trace assembly.  Both runs must produce
-  metric-identical results (``identical`` in the report); the speedup
-  is the end-to-end serial gain of the incremental paths.
 
 * **soa benchmark** -- the reference sweep run through the vectorised
   struct-of-arrays backend (``backend="soa"``) and the object graph;
@@ -38,23 +23,20 @@ Five measurements back the performance claims in the README:
   ceiling, and on a build-throughput floor (contacts/sec through the
   synthesis+estimation+construction pipeline) at the 100k+ points.
 
-* **trace-gen benchmark** -- synthetic trace generation per calibration
-  profile, vectorised vs scalar assembly, with a bit-identity assertion
-  (both paths consume the RNG substream identically).
-
 * **obs benchmark** -- one reference run untraced vs with a full
   :mod:`repro.obs` event trace.  Tracing must be passive: the two
   metric sets are compared field-for-field (``identical``), and the
-  timing quantifies the tracing-on overhead.  (Tracing-*off* cost is
-  already covered: every other benchmark runs untraced through the
-  instrumented code, so the engine baseline check would catch a
-  disabled-path regression.)
+  timing quantifies the tracing-on overhead.
 
 * **theory benchmark** -- the reference run scored with and without a
   full :mod:`repro.theory` prediction evaluated before the clock
   starts.  Prediction must be passive (``RunMetrics.same_as``), and the
   prediction must agree with the measured run inside the trace's
   KS-derived band (see docs/MODEL.md).
+
+* **faults benchmark** -- the reference run with no fault plan, a null
+  plan and a real one: the first two must be ``same_as``-identical and
+  the third must differ.
 
 * **service benchmark** -- the live-service mode (:mod:`repro.service`)
   in three phases: an infinite-dilation replay whose scores must be
@@ -67,20 +49,18 @@ Five measurements back the performance claims in the README:
   actually happening under overload, and an overload RSS ceiling.
 
 ``repro bench`` runs all of them and writes ``BENCH_runner.json``;
-``repro bench --quick`` shrinks the workloads for CI smoke use.
+``repro bench --quick`` shrinks the workloads for CI smoke use.  The
+benchmark of record, with calibrated end-to-end and per-layer timing,
+is ``python -m bench`` (see bench/README.md).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import os
 import platform
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Optional
 
 from repro.experiments.artifacts import cache_clear
 from repro.experiments.config import DAY, Settings
@@ -89,135 +69,6 @@ from repro.experiments.parallel import SweepPoint, resolve_jobs, run_sweep
 #: schemes exercised by the sweep benchmark (4 x 4 seeds = 16 jobs)
 SWEEP_SCHEMES = ("hdr", "flooding", "random", "source")
 SWEEP_SEEDS = (1, 2, 3, 4)
-
-
-# ---------------------------------------------------------------------------
-# Legacy reference engine (the pre-optimisation design, kept verbatim in
-# miniature so the events/sec comparison stays reproducible).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(order=True)
-class _LegacyEvent:
-    """``order=True`` dataclass event -- every heap compare is a Python call."""
-
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _LegacySimulator:
-    """Minimal replica of the seed engine: dataclass events in the heap."""
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._heap: list[_LegacyEvent] = []
-        self._seq = itertools.count()
-        self._events_executed = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        return self._events_executed
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any,
-        priority: int = 0,
-    ) -> _LegacyEvent:
-        event = _LegacyEvent(float(time), priority, next(self._seq),
-                             callback, args)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def run(self, until: Optional[float] = None) -> float:
-        while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback(*event.args)
-            self._events_executed += 1
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-
-# ---------------------------------------------------------------------------
-# Engine micro-benchmark
-# ---------------------------------------------------------------------------
-
-
-def _pump(sim, num_events: int, fanout: int = 512) -> int:
-    """Heap-heavy synthetic workload: ``fanout`` self-rescheduling timers.
-
-    Keeps ~``fanout`` events pending so every push/pop walks a deep
-    heap; every 16th tick schedules-and-cancels an extra event to
-    exercise the lazy-deletion path.  Identical (deterministic) on both
-    engines.
-    """
-    executed = 0
-
-    def tick(delta: float, priority: int) -> None:
-        nonlocal executed
-        executed += 1
-        if executed >= num_events:
-            return
-        if executed % 16 == 0:
-            sim.schedule_at(sim.now + delta * 0.5, tick, delta, priority,
-                            priority=priority).cancel()
-        sim.schedule_at(sim.now + delta, tick, delta, priority,
-                        priority=priority)
-
-    for i in range(fanout):
-        sim.schedule_at(0.001 * (i % 97), tick, 0.5 + 0.25 * (i % 7), i % 3,
-                        priority=i % 3)
-    sim.run()
-    return executed
-
-
-def engine_benchmark(num_events: int = 200_000, repeats: int = 3) -> dict:
-    """Events/sec of the current engine vs the legacy reference.
-
-    Best-of-``repeats`` wall clock for each engine; returns a dict with
-    ``events_per_sec`` (current), ``legacy_events_per_sec`` and the
-    ``speedup`` ratio.
-    """
-    from repro.sim.engine import Simulator
-
-    def best(make_sim) -> tuple[float, int]:
-        times, counts = [], []
-        for _ in range(repeats):
-            sim = make_sim()
-            start = time.perf_counter()
-            executed = _pump(sim, num_events)
-            times.append(time.perf_counter() - start)
-            counts.append(executed)
-        assert len(set(counts)) == 1  # workload is deterministic
-        return min(times), counts[0]
-
-    current, executed = best(Simulator)
-    legacy, legacy_executed = best(_LegacySimulator)
-    assert executed == legacy_executed  # identical workload on both engines
-    return {
-        "num_events": executed,
-        "repeats": repeats,
-        "events_per_sec": round(executed / current, 1),
-        "legacy_events_per_sec": round(executed / legacy, 1),
-        "speedup": round(legacy / current, 3),
-        "improvement_pct": round((legacy / current - 1.0) * 100.0, 1),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -279,43 +130,8 @@ def sweep_benchmark(jobs: Optional[int] = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scheme (incremental bookkeeping) and trace-generation benchmarks
+# Reference-run benchmarks
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def legacy_mode() -> Iterator[None]:
-    """Temporarily run with every incremental/vectorised path disabled.
-
-    Flips the brute-force freshness probe, the full per-contact task
-    scan, the per-item version peeks, scalar trace assembly, the
-    dataclass contact sort and the array-native rate estimation back
-    on -- the pre-optimisation behaviour, kept live precisely so this
-    comparison stays honest.
-    """
-    from repro.contacts import rates
-    from repro.core import accounting
-    from repro.mobility import synthetic, trace
-
-    saved = (
-        accounting.INCREMENTAL_BOOKKEEPING,
-        synthetic.VECTORISED_GENERATION,
-        trace.FAST_SORT,
-        rates.VECTORISED_RATES,
-    )
-    accounting.INCREMENTAL_BOOKKEEPING = False
-    synthetic.VECTORISED_GENERATION = False
-    trace.FAST_SORT = False
-    rates.VECTORISED_RATES = False
-    try:
-        yield
-    finally:
-        (
-            accounting.INCREMENTAL_BOOKKEEPING,
-            synthetic.VECTORISED_GENERATION,
-            trace.FAST_SORT,
-            rates.VECTORISED_RATES,
-        ) = saved
 
 
 def reference_settings(quick: bool = False) -> Settings:
@@ -335,99 +151,6 @@ def reference_settings(quick: bool = False) -> Settings:
     )
 
 
-def scheme_benchmark(quick: bool = False, repeats: int = 2) -> dict:
-    """End-to-end serial sweep: incremental bookkeeping vs legacy paths.
-
-    Runs the reference sweep with the optimised paths (default flags)
-    and again in :func:`legacy_mode`, best-of-``repeats`` each, clearing
-    the artifact cache before every timed run.  The two final metric
-    sets are compared field-for-field (``RunMetrics.same_as``); the
-    benchmark is only meaningful while they stay identical.
-    """
-    from repro.experiments.runner import run_replicated
-
-    settings = reference_settings(quick)
-    if quick:
-        repeats = 1
-
-    def timed() -> tuple[float, dict]:
-        cache_clear()
-        start = time.perf_counter()
-        result = run_replicated(SWEEP_SCHEMES, settings, jobs=1)
-        return time.perf_counter() - start, result
-
-    optimised_times, legacy_times = [], []
-    optimised_result = legacy_result = None
-    for _ in range(repeats):
-        elapsed, optimised_result = timed()
-        optimised_times.append(elapsed)
-        with legacy_mode():
-            elapsed, legacy_result = timed()
-        legacy_times.append(elapsed)
-    cache_clear()  # legacy-generated artifacts must not leak to later runs
-    identical = all(
-        a.same_as(b)
-        for scheme in SWEEP_SCHEMES
-        for a, b in zip(optimised_result[scheme], legacy_result[scheme])
-    )
-    optimised, legacy = min(optimised_times), min(legacy_times)
-    return {
-        "seeds": len(settings.seeds),
-        "schemes": list(SWEEP_SCHEMES),
-        "num_caching_nodes": settings.num_caching_nodes,
-        "num_items": settings.num_items,
-        "probe_interval_s": settings.probe_interval,
-        "duration_days": settings.duration / DAY,
-        "optimised_seconds": round(optimised, 3),
-        "legacy_seconds": round(legacy, 3),
-        "speedup": round(legacy / optimised, 3),
-        "identical": identical,
-    }
-
-
-def trace_gen_benchmark(quick: bool = False, repeats: int = 2) -> dict:
-    """Vectorised vs scalar synthetic-trace assembly, per profile.
-
-    Asserts bit-identity of the generated traces (same seed, both
-    paths) before reporting the timing -- a speedup over a divergent
-    trace would be meaningless.
-    """
-    import numpy as np
-
-    from repro.mobility.calibration import get_profile, list_profiles
-
-    profiles = ["small"] if quick else list_profiles()
-    if quick:
-        repeats = 1
-    report: dict[str, Any] = {"profiles": {}}
-    for name in profiles:
-        profile = get_profile(name)
-
-        def timed() -> tuple[float, Any]:
-            start = time.perf_counter()
-            generated = profile.generate(np.random.default_rng(1))
-            return time.perf_counter() - start, generated
-
-        vec_times, scalar_times = [], []
-        vectorised = scalar = None
-        for _ in range(repeats):
-            elapsed, vectorised = timed()
-            vec_times.append(elapsed)
-            with legacy_mode():
-                elapsed, scalar = timed()
-            scalar_times.append(elapsed)
-        identical = list(vectorised) == list(scalar)
-        vec, sca = min(vec_times), min(scalar_times)
-        report["profiles"][name] = {
-            "contacts": len(vectorised),
-            "vectorised_seconds": round(vec, 3),
-            "scalar_seconds": round(sca, 3),
-            "speedup": round(sca / vec, 3) if vec > 0 else float("inf"),
-            "identical": identical,
-        }
-    return report
-
-
 def obs_benchmark(quick: bool = False, repeats: int = 2) -> dict:
     """Traced vs untraced reference run: metric identity plus overhead.
 
@@ -435,8 +158,6 @@ def obs_benchmark(quick: bool = False, repeats: int = 2) -> dict:
     a full event trace written to a scratch JSONL file.  The two metric
     sets must be field-identical (``RunMetrics.same_as`` -- tracing is
     passive by design); the timings quantify the cost of tracing *on*.
-    The cost of tracing *off* is covered by the engine/scheme benchmarks,
-    which run untraced through the same instrumented code.
     """
     import tempfile
 
@@ -639,10 +360,9 @@ def soa_benchmark(quick: bool = False) -> dict:
     backends and compares the :class:`RunMetrics` field-for-field
     (``RunMetrics.same_as``).  ``identical`` is a hard gate -- the SoA
     engine's entire value rests on being a faster route to the *same*
-    numbers, exactly like the ``INCREMENTAL_BOOKKEEPING`` gate in the
-    scheme benchmark.  The timings give the end-to-end speedup at
-    reference (small) scale; the ``scale`` section measures where the
-    vectorised path actually pulls away.
+    numbers.  The timings give the end-to-end speedup at reference
+    (small) scale; the ``scale`` section measures where the vectorised
+    path actually pulls away.
     """
     from repro.experiments.runner import make_trace, run_once
 
@@ -1127,33 +847,6 @@ def check_scale_regression(
     return True, message
 
 
-def check_engine_regression(
-    report: dict, baseline_path: str, threshold: float = 0.30
-) -> tuple[bool, str]:
-    """Compare a fresh report's engine throughput against a committed one.
-
-    Returns ``(ok, message)``; ``ok`` is ``False`` when events/sec
-    dropped more than ``threshold`` below the baseline.  A missing or
-    baseline-less file passes (nothing to regress against).
-    """
-    try:
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return True, f"no usable baseline at {baseline_path}; skipping check"
-    base = baseline.get("engine", {}).get("events_per_sec")
-    if not base:
-        return True, f"{baseline_path} has no engine events/sec; skipping check"
-    current = report["engine"]["events_per_sec"]
-    ratio = current / base
-    ok = ratio >= 1.0 - threshold
-    message = (
-        f"engine {current:,.0f} events/s vs baseline {base:,.0f} "
-        f"({ratio:.2f}x, floor {1.0 - threshold:.2f}x)"
-    )
-    return ok, message
-
-
 def run_benchmarks(jobs: Optional[int] = None,
                    path: Optional[str] = None,
                    quick: bool = False) -> dict:
@@ -1161,15 +854,9 @@ def run_benchmarks(jobs: Optional[int] = None,
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "engine": engine_benchmark(
-            num_events=50_000 if quick else 200_000,
-            repeats=2 if quick else 3,
-        ),
         "sweep": sweep_benchmark(jobs=jobs),
-        "scheme": scheme_benchmark(quick=quick),
         "soa": soa_benchmark(quick=quick),
         "scale": scale_benchmark(quick=quick),
-        "trace_gen": trace_gen_benchmark(quick=quick),
         "obs": obs_benchmark(quick=quick),
         "faults": faults_benchmark(quick=quick),
         "theory": theory_benchmark(quick=quick),

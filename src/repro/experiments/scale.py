@@ -19,13 +19,10 @@ contact schedule), estimation (pairwise MLE rates) and construction
 carries both the split and a ``build_contacts_per_sec`` throughput the
 bench regression gate can hold a floor against.  The ``soa`` backend
 runs the whole build array-natively on a
-:class:`~repro.mobility.arrays.ContactArrays` trace; ``--trace-mode
-objects`` forces the legacy ``Contact``-object path (the two produce
-identical simulations -- the equivalence tests rely on it).
-
-Scale runs flip :data:`repro.sim.stats.STREAMING_TALLIES` on, so tally
-memory stays bounded no matter how many refresh deliveries the run
-observes (the streaming-percentile satellite of the SoA work).
+:class:`~repro.mobility.arrays.ContactArrays` trace; the ``object``
+backend, which cannot consume arrays, builds from ``Contact`` objects
+(the two produce identical simulations -- the equivalence tests rely on
+it).
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.caching.items import DataCatalog
 from repro.contacts.rates import mle_rates
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.trace import Contact, ContactTrace
-from repro.sim import stats as stats_module
 
 DAY = 24 * 3600.0
 
@@ -154,66 +150,47 @@ def run_scale_point(
     num_items: int = 4,
     num_sources: int = 2,
     probe_interval: float = 600.0,
-    trace_mode: str = "auto",
     record_path: Optional[str] = None,
 ) -> dict:
     """Build + run one (node count, backend) measurement; returns the
     JSON-ready result dict.
 
-    ``trace_mode`` selects the trace representation: ``"arrays"`` (the
-    vectorised :class:`ContactArrays` pipeline), ``"objects"`` (the
-    legacy per-``Contact`` path), or ``"auto"`` (arrays for the soa
-    backend, objects for the object backend, which cannot consume
-    arrays).  ``record_path`` appends per-stage
-    :class:`~repro.obs.records.BuildPhaseRecord` rows as JSONL.
+    The soa backend builds from :func:`synthetic_arrays`, the object
+    backend from :func:`synthetic_trace`.  ``record_path`` appends
+    per-stage :class:`~repro.obs.records.BuildPhaseRecord` rows as JSONL.
     """
     from repro.core.scheme import build_simulation
 
-    if trace_mode not in ("auto", "arrays", "objects"):
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
-    use_arrays = (
-        trace_mode == "arrays"
-        or (trace_mode == "auto" and backend == "soa")
+    t0 = time.perf_counter()
+    synthesise = synthetic_arrays if backend == "soa" else synthetic_trace
+    trace = synthesise(
+        num_nodes, contacts_per_node=contacts_per_node,
+        duration=duration, seed=seed,
     )
-    stats_module.STREAMING_TALLIES = True
-    try:
-        t0 = time.perf_counter()
-        if use_arrays:
-            trace = synthetic_arrays(
-                num_nodes, contacts_per_node=contacts_per_node,
-                duration=duration, seed=seed,
-            )
-        else:
-            trace = synthetic_trace(
-                num_nodes, contacts_per_node=contacts_per_node,
-                duration=duration, seed=seed,
-            )
-        t1 = time.perf_counter()
-        sources = _pick_sources(trace, num_sources)
-        catalog = DataCatalog.uniform(
-            num_items=num_items,
-            sources=sources,
-            refresh_interval=4 * 3600.0,
-            lifetime=12 * 3600.0,
-        )
-        rates = mle_rates(trace)
-        t2 = time.perf_counter()
-        runtime = build_simulation(
-            trace,
-            catalog,
-            scheme=scheme,
-            num_caching_nodes=num_caching_nodes,
-            rates=rates,
-            seed=seed,
-            refresh_jitter=0.25,
-            backend=backend,
-        )
-        runtime.install_freshness_probe(interval=probe_interval, until=duration)
-        t3 = time.perf_counter()
-        runtime.run(until=duration)
-        t4 = time.perf_counter()
-    finally:
-        stats_module.STREAMING_TALLIES = False
+    t1 = time.perf_counter()
+    sources = _pick_sources(trace, num_sources)
+    catalog = DataCatalog.uniform(
+        num_items=num_items,
+        sources=sources,
+        refresh_interval=4 * 3600.0,
+        lifetime=12 * 3600.0,
+    )
+    rates = mle_rates(trace)
+    t2 = time.perf_counter()
+    runtime = build_simulation(
+        trace,
+        catalog,
+        scheme=scheme,
+        num_caching_nodes=num_caching_nodes,
+        rates=rates,
+        seed=seed,
+        refresh_jitter=0.25,
+        backend=backend,
+    )
+    runtime.install_freshness_probe(interval=probe_interval, until=duration)
+    t3 = time.perf_counter()
+    runtime.run(until=duration)
+    t4 = time.perf_counter()
 
     if backend == "soa":
         events = runtime.events_processed
@@ -228,7 +205,6 @@ def run_scale_point(
         "backend": backend,
         "scheme": scheme,
         "seed": seed,
-        "trace_mode": "arrays" if use_arrays else "objects",
         "contacts": contacts,
         "events": int(events),
         "trace_gen_s": round(t1 - t0, 3),
@@ -283,10 +259,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--contacts-per-node", type=float, default=20.0)
     parser.add_argument("--days", type=float, default=2.0)
     parser.add_argument(
-        "--trace-mode", choices=("auto", "arrays", "objects"), default="auto",
-        help="trace representation (auto: arrays for soa, objects otherwise)",
-    )
-    parser.add_argument(
         "--record", metavar="FILE", default=None,
         help="append per-stage build.phase records to FILE as JSONL",
     )
@@ -299,7 +271,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         seed=args.seed,
         contacts_per_node=args.contacts_per_node,
         duration=args.days * DAY,
-        trace_mode=args.trace_mode,
         record_path=args.record,
     )
     if args.json:

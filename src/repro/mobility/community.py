@@ -20,14 +20,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.mobility import synthetic
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.synthetic import (
     DEFAULT_CHUNK_CONTACTS,
     PoissonContactModel,
     community_rate_matrix,
 )
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 #: Default 24-hour activity profile (fraction of peak rate per hour),
 #: low overnight, peaks mid-morning and mid-afternoon.
@@ -137,17 +136,12 @@ class DiurnalModel:
         """Thin the peak-rate candidate trace by time-of-day activity.
 
         One uniform is drawn per candidate contact, in trace order --
-        the batched draw consumes the RNG stream exactly like the scalar
-        per-contact draw, so both paths keep the same contacts.
+        the same stream :meth:`generate_chunks` reads, so both keep the
+        same contacts.
         """
         candidate = self._peak_model.generate(duration, rng)
         m = len(candidate)
-        if not synthetic.VECTORISED_GENERATION:
-            kept: list[Contact] = []
-            for c in candidate:
-                if rng.random() < self.activity_at(c.start):
-                    kept.append(c)
-        elif m:
+        if m:
             u = rng.random(m)
             starts = np.fromiter(
                 (c.start for c in candidate), dtype=float, count=m

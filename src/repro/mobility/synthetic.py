@@ -27,13 +27,6 @@ from repro.mobility.trace import Contact, ContactTrace
 #: Default block size (contacts) for the chunked generators.
 DEFAULT_CHUNK_CONTACTS = 262_144
 
-#: When True (default), trace generation assembles each pair's contacts
-#: with numpy mask/array operations; the scalar per-contact loop is kept
-#: as the reference path.  Both paths consume the RNG identically, so
-#: traces are bit-identical per seed either way (tested on every
-#: calibration profile).
-VECTORISED_GENERATION = True
-
 
 def homogeneous_rate_matrix(n: int, rate: float) -> np.ndarray:
     """All pairs meet at the same ``rate`` (contacts per second)."""
@@ -158,14 +151,11 @@ class PoissonContactModel:
         for the start times and exponential durations -- equivalent to
         simulating the Poisson process, one vector op per quantity.  The
         per-pair draw sequence (poisson, uniforms, exponentials) is the
-        RNG substream contract: both the vectorised and the scalar
-        assembly below consume it identically, so traces are
-        bit-identical per seed.
+        RNG substream contract :meth:`generate_chunks` shares, so both
+        produce the same contacts per seed.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
-        if not VECTORISED_GENERATION:
-            return self._generate_scalar(duration, rng)
         n = self.rates.shape[0]
         mean_duration = self.mean_duration
         node_ids = self.node_ids
@@ -190,29 +180,6 @@ class PoissonContactModel:
                     a, b = b, a
                 for s, e in zip(starts[keep].tolist(), ends[keep].tolist()):
                     append(Contact(s, e, a, b))
-        return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
-
-    def _generate_scalar(self, duration: float, rng: np.random.Generator) -> ContactTrace:
-        """Reference scalar assembly (pre-vectorisation), kept for the
-        bit-identity tests and the ``repro bench`` comparison."""
-        n = self.rates.shape[0]
-        contacts: list[Contact] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                rate = self.rates[i, j]
-                if rate <= 0:
-                    continue
-                expected = rate * duration
-                count = rng.poisson(expected)
-                if count == 0:
-                    continue
-                starts = np.sort(rng.random(count)) * duration
-                lengths = rng.exponential(self.mean_duration, size=count)
-                ends = np.minimum(starts + lengths, duration)
-                a, b = self.node_ids[i], self.node_ids[j]
-                for s, e in zip(starts, ends):
-                    if e > s:
-                        contacts.append(Contact.make(a, b, s, e))
         return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
 
     def generate_chunks(

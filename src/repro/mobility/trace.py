@@ -22,16 +22,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 #: faster than the dataclass ``__lt__`` (one Python call per comparison).
 _CONTACT_ORDER = attrgetter("start", "end", "a", "b")
 
-#: When True (default), trace construction sorts through the tuple key
-#: above.  ``repro bench`` flips this together with
-#: ``repro.mobility.synthetic.VECTORISED_GENERATION`` so the legacy
-#: comparison measures the pre-optimisation dataclass comparisons.  The
-#: orderings are identical either way.
-FAST_SORT = True
-
 
 def _sort_contacts(contacts: list) -> None:
-    contacts.sort(key=_CONTACT_ORDER if FAST_SORT else None)
+    contacts.sort(key=_CONTACT_ORDER)
 
 
 @dataclass(frozen=True, order=True)

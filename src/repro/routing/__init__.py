@@ -1,35 +1,18 @@
 """DTN store-carry-forward routing substrate.
 
-Queries, responses and refresh messages all travel over opportunistic
-contacts, so every node runs a routing agent that buffers messages and
-forwards them contact-by-contact.  Four classic policies are provided:
-
-- :class:`~repro.routing.direct.DirectDelivery` -- hand the message only
-  to its destination (minimum overhead, maximum delay);
-- :class:`~repro.routing.epidemic.EpidemicRouting` -- replicate to every
-  new peer (minimum delay, maximum overhead);
-- :class:`~repro.routing.spraywait.SprayAndWait` -- binary spray of L
-  copies, then direct delivery;
-- :class:`~repro.routing.prophet.ProphetRouting` -- forward along rising
-  delivery predictability;
-- :class:`~repro.routing.delegation.DelegationForwarding` -- forward
-  only to record-setting carriers (the rule HDR's relay recruitment
-  uses), O(sqrt(n)) copies per message.
+Query responses travel over opportunistic contacts, so every node runs
+a routing agent that buffers messages and forwards them
+contact-by-contact.  :class:`~repro.routing.base.RoutingAgent` holds the
+mechanics; :class:`~repro.routing.epidemic.EpidemicRouting`, the policy
+that carries responses back to their requesters, replicates to every
+new peer (minimum delay, maximum overhead).
 """
 
 from repro.routing.base import DeliveryRecord, RoutingAgent
-from repro.routing.delegation import DelegationForwarding
-from repro.routing.direct import DirectDelivery
 from repro.routing.epidemic import EpidemicRouting
-from repro.routing.spraywait import SprayAndWait
-from repro.routing.prophet import ProphetRouting
 
 __all__ = [
-    "DelegationForwarding",
     "DeliveryRecord",
-    "DirectDelivery",
     "EpidemicRouting",
-    "ProphetRouting",
     "RoutingAgent",
-    "SprayAndWait",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`RoutingAgent` is a :class:`~repro.sim.node.ProtocolHandler`
 that owns a message buffer.  Subclasses implement only the forwarding
-*policy* (:meth:`RoutingAgent.should_forward` and, for quota schemes,
+*policy* (:meth:`RoutingAgent.should_forward` and
 :meth:`RoutingAgent.split_for`); the mechanics -- buffer limits, TTL
 expiry, duplicate suppression, delivery callbacks, per-kind statistics
 -- live here.
@@ -113,11 +113,8 @@ class RoutingAgent(ProtocolHandler):
         raise NotImplementedError
 
     def split_for(self, message: Message, peer: Node) -> Message:
-        """The copy actually sent (quota schemes adjust token counts)."""
+        """The copy actually sent (a policy may adjust its hop budget)."""
         return message.copy()
-
-    def after_forward(self, message: Message, peer: Node) -> None:
-        """Hook after a successful transfer (e.g. drop the local copy)."""
 
     def peer_agent(self, peer: Node) -> Optional["RoutingAgent"]:
         """The peer's routing agent of the same class, if any.
@@ -180,14 +177,13 @@ class RoutingAgent(ProtocolHandler):
             self._forward(message, peer)
 
     def _forward(self, message: Message, peer: Node) -> None:
-        """Send ``split_for``'s copy to ``peer``; count and hook a success."""
+        """Send ``split_for``'s copy to ``peer``; count a success."""
         if self.node.send(self.split_for(message, peer), peer):
             counter = self._forwarded_counters.get(message.kind)
             if counter is None:
                 counter = self.stats.counter(f"routing.forwarded.{message.kind}")
                 self._forwarded_counters[message.kind] = counter
             counter.add(1)
-            self.after_forward(message, peer)
 
     def _store(self, message: Message) -> None:
         if message.expired(self.node.sim.now):

@@ -8,23 +8,8 @@ into it during a run; :mod:`repro.analysis` reads it afterwards.
 from __future__ import annotations
 
 import math
-import random
-import zlib
 from array import array
 from typing import Iterator, Optional
-
-#: When True, newly created :class:`Tally` instruments keep a bounded
-#: uniform reservoir instead of every sample, making tally memory O(1)
-#: per instrument -- the difference between ~8 bytes and ~0 bytes per
-#: event at 10k+ node scale.  Percentiles become estimates; count, mean,
-#: variance, min and max stay exact (Welford runs either way).  Exact
-#: mode remains the default; the scale benchmarks flip this flag.
-STREAMING_TALLIES = False
-
-#: Reservoir size for streaming tallies.  4096 samples bound the p99
-#: standard error under ~0.2 percentage points, plenty for benchmark
-#: reporting.
-RESERVOIR_SIZE = 4096
 
 
 class Counter:
@@ -70,23 +55,15 @@ class Gauge:
 class Tally:
     """Streaming mean/variance/min/max over observed samples (Welford).
 
-    In the default exact mode every sample is retained (8 bytes each) so
-    exact quantiles are available after the run via :meth:`percentile`;
-    the sorted copy is cached and invalidated on the next
-    :meth:`observe`.
-
-    With ``streaming=True`` (or the module-level
-    :data:`STREAMING_TALLIES` flag) only a fixed-size uniform reservoir
-    (Vitter's Algorithm R, :data:`RESERVOIR_SIZE` samples) is kept:
-    memory is bounded regardless of run length and :meth:`percentile`
-    returns an unbiased estimate.  The reservoir's RNG is seeded from
-    the tally name, so runs are reproducible.
+    Every sample is also retained (8 bytes each) so exact quantiles are
+    available after the run via :meth:`percentile`; the sorted copy is
+    cached and invalidated on the next :meth:`observe`.
     """
 
     __slots__ = ("name", "count", "_mean", "_m2", "min", "max",
-                 "_samples", "_sorted", "_streaming", "_rng")
+                 "_samples", "_sorted")
 
-    def __init__(self, name: str, streaming: Optional[bool] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self._mean = 0.0
@@ -95,21 +72,6 @@ class Tally:
         self.max = -math.inf
         self._samples: list[float] = []
         self._sorted: Optional[list[float]] = None
-        if streaming is None:
-            streaming = STREAMING_TALLIES
-        self._streaming = bool(streaming)
-        # Seeded from the (stable) name, not the default entropy source,
-        # so a streaming run is exactly reproducible.
-        self._rng = (
-            random.Random(zlib.crc32(name.encode())) if self._streaming
-            else None
-        )
-
-    @property
-    def streaming(self) -> bool:
-        """True when this tally keeps a bounded reservoir (estimated
-        percentiles) instead of every sample (exact percentiles)."""
-        return self._streaming
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -118,24 +80,13 @@ class Tally:
         self._m2 += delta * (value - self._mean)
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        samples = self._samples
-        if not self._streaming or len(samples) < RESERVOIR_SIZE:
-            samples.append(value)
-            self._sorted = None
-        else:
-            # Algorithm R: the i-th observation replaces a reservoir slot
-            # with probability k/i, keeping every sample equally likely
-            # to be retained.
-            j = self._rng.randrange(self.count)
-            if j < RESERVOIR_SIZE:
-                samples[j] = value
-                self._sorted = None
+        self._samples.append(value)
+        self._sorted = None
 
     def percentile(self, q: float) -> float:
         """q-th percentile (0 <= q <= 100), linearly interpolated between
         order statistics (numpy's default convention); NaN when no
-        samples have been observed.  Exact in the default mode, estimated
-        from the reservoir in streaming mode."""
+        samples have been observed."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         if not self._samples:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.caching.items import CacheEntry, DataCatalog
-from repro.core import accounting
 from repro.core.accounting import FreshnessAccountant
 from repro.core.scheme import build_simulation
 from repro.experiments.config import DAY, HOUR, Settings
@@ -220,34 +219,15 @@ def test_accountant_matches_brute_force_under_churn():
 
 
 def test_optimised_and_legacy_paths_produce_identical_metrics():
-    from repro.experiments.bench import legacy_mode
+    """The live paths against the test-local scalar references (brute
+    probe, full task scan, unwatermarked gossip, scalar planning)."""
     from repro.experiments.runner import run_once
+    from tests.reference_paths import legacy_paths
 
     settings = Settings.fast().with_(duration=2 * DAY)
-    results = {}
-    for mode in ("optimised", "legacy"):
-        per_scheme = {}
-        trace = make_trace(settings, 1)
-        for scheme in ("hdr", "flooding", "invalidate"):
-            if mode == "legacy":
-                with legacy_mode():
-                    per_scheme[scheme] = run_once(trace, scheme, settings, seed=1)
-            else:
-                per_scheme[scheme] = run_once(trace, scheme, settings, seed=1)
-        results[mode] = per_scheme
-    for scheme in results["optimised"]:
-        assert results["optimised"][scheme].same_as(results["legacy"][scheme]), scheme
-
-
-def test_incremental_flag_restored_by_legacy_mode():
-    from repro.experiments.bench import legacy_mode
-    from repro.mobility import synthetic, trace as trace_mod
-
-    assert accounting.INCREMENTAL_BOOKKEEPING
-    with legacy_mode():
-        assert not accounting.INCREMENTAL_BOOKKEEPING
-        assert not synthetic.VECTORISED_GENERATION
-        assert not trace_mod.FAST_SORT
-    assert accounting.INCREMENTAL_BOOKKEEPING
-    assert synthetic.VECTORISED_GENERATION
-    assert trace_mod.FAST_SORT
+    trace = make_trace(settings, 1)
+    for scheme in ("hdr", "flooding", "invalidate"):
+        optimised = run_once(trace, scheme, settings, seed=1)
+        with legacy_paths():
+            legacy = run_once(trace, scheme, settings, seed=1)
+        assert optimised.same_as(legacy), scheme

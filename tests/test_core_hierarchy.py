@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.contacts.rates import RateTable
 from repro.core.hierarchy import RefreshTree, build_tree, random_tree, star_tree
+from tests.reference_paths import build_tree_scalar
 
 
 def chain_rates(nodes, rate=1.0):
@@ -156,6 +157,20 @@ def rate_tables(draw):
     return n, table
 
 
+@st.composite
+def sparse_rate_tables(draw):
+    """Few distinct rates and many absent pairs: ties everywhere, and
+    groups linked to each other but to nothing already placed."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    table = RateTable()
+    for i in range(n):
+        for j in range(i + 1, n):
+            rate = draw(st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0]))
+            if rate > 0:
+                table.set(i, j, rate)
+    return n, table
+
+
 class TestTreeProperties:
     @given(rate_tables(), st.integers(min_value=1, max_value=4),
            st.integers(min_value=2, max_value=5))
@@ -179,3 +194,32 @@ class TestTreeProperties:
             assert path[-1] == 0
             assert len(path) == len(set(path))
             assert len(path) - 1 == tree.depth_of(member)
+
+    @given(st.one_of(rate_tables(), sparse_rate_tables()),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_child_lookup_reference(self, n_and_rates, fanout,
+                                                max_depth, data):
+        """The submatrix builder equals the per-child-lookup builder,
+        including ties, zero rates, members the table has never seen and
+        a separate root budget, on either table backing."""
+        n, rates = n_and_rates
+        if data.draw(st.booleans()):
+            rates = RateTable.from_arrays(*rates.as_arrays())
+        root = data.draw(st.integers(min_value=0, max_value=n - 1))
+        members = data.draw(st.sets(st.integers(min_value=0, max_value=n + 2),
+                                    max_size=n + 2))
+        root_fanout = data.draw(st.one_of(st.none(),
+                                          st.integers(min_value=1, max_value=4)))
+        kwargs = dict(fanout=fanout, max_depth=max_depth,
+                      root_fanout=root_fanout)
+        try:
+            expected = build_tree_scalar(root, members, rates, **kwargs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_tree(root, members, rates, **kwargs)
+            return
+        tree = build_tree(root, members, rates, **kwargs)
+        assert tree.edges() == expected.edges()
+        assert tree.depth == expected.depth

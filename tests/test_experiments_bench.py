@@ -1,4 +1,4 @@
-"""Tests for the benchmark helpers: the engine-regression gate, the
+"""Tests for the benchmark helpers: the scale-regression gate, the
 reference scenario, and the single-CPU sweep skip."""
 
 import json
@@ -6,59 +6,11 @@ import json
 from repro.experiments import bench
 from repro.experiments.bench import (
     SWEEP_SEEDS,
-    check_engine_regression,
     check_scale_regression,
     reference_settings,
     sweep_benchmark,
 )
 from repro.experiments.config import DAY
-
-
-def report(events_per_sec: float) -> dict:
-    return {"engine": {"events_per_sec": events_per_sec}}
-
-
-class TestCheckEngineRegression:
-    def baseline(self, tmp_path, payload) -> str:
-        path = tmp_path / "baseline.json"
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        return str(path)
-
-    def test_passes_within_threshold(self, tmp_path):
-        path = self.baseline(tmp_path, report(100_000.0))
-        ok, message = check_engine_regression(report(80_000.0), path)
-        assert ok
-        assert "0.80x" in message
-
-    def test_fails_beyond_threshold(self, tmp_path):
-        path = self.baseline(tmp_path, report(100_000.0))
-        ok, message = check_engine_regression(report(60_000.0), path)
-        assert not ok
-        assert "floor 0.70x" in message
-
-    def test_custom_threshold(self, tmp_path):
-        path = self.baseline(tmp_path, report(100_000.0))
-        ok, _ = check_engine_regression(report(60_000.0), path, threshold=0.5)
-        assert ok
-
-    def test_missing_baseline_skips(self, tmp_path):
-        ok, message = check_engine_regression(
-            report(1.0), str(tmp_path / "absent.json")
-        )
-        assert ok
-        assert "skipping" in message
-
-    def test_malformed_baseline_skips(self, tmp_path):
-        path = self.baseline(tmp_path, "{not json")
-        ok, message = check_engine_regression(report(1.0), path)
-        assert ok
-        assert "skipping" in message
-
-    def test_baseline_without_engine_section_skips(self, tmp_path):
-        path = self.baseline(tmp_path, {"sweep": {}})
-        ok, message = check_engine_regression(report(1.0), path)
-        assert ok
-        assert "skipping" in message
 
 
 class TestReferenceSettings:

@@ -7,7 +7,6 @@ from repro.experiments.scale import (
     run_scale_point,
     synthetic_trace,
 )
-from repro.sim import stats as stats_module
 
 
 class TestSyntheticTrace:
@@ -42,13 +41,11 @@ class TestSyntheticTrace:
 
 
 class TestRunScalePoint:
-    def test_point_shape_and_flag_restore(self):
-        assert not stats_module.STREAMING_TALLIES
+    def test_point_shape(self):
         point = run_scale_point(
             60, backend="soa", duration=0.25 * DAY,
             contacts_per_node=6.0, num_caching_nodes=6, num_items=2,
         )
-        assert not stats_module.STREAMING_TALLIES
         assert point["nodes"] == 60
         assert point["backend"] == "soa"
         assert point["events"] > 0

@@ -144,13 +144,14 @@ class TestPoissonContactModel:
 
 
 class TestVectorisedBitIdentity:
-    """The vectorised generators must reproduce the scalar paths exactly:
-    same contacts, same order, bit-identical timestamps per seed."""
+    """The vectorised generators must reproduce the scalar assembly
+    (test-local copies in ``tests/reference_paths.py``) exactly: same
+    contacts, same order, bit-identical timestamps per seed."""
 
     def _scalar(self, fn):
-        from repro.experiments.bench import legacy_mode
+        from tests.reference_paths import legacy_paths
 
-        with legacy_mode():
+        with legacy_paths():
             return fn()
 
     def test_poisson_model_identical_to_scalar(self):

@@ -1,8 +1,7 @@
-"""Tests for the DTN routing policies.
+"""Tests for the DTN routing agent and epidemic routing.
 
-The line trace (0-1, 1-2, 2-3 repeating every 100 s) lets multi-hop
-policies carry a message from node 0 to node 3 within one sweep, while
-direct delivery must wait for a 0-3 contact that never comes.
+The line trace (0-1, 1-2, 2-3 repeating every 100 s) lets epidemic
+routing carry a message from node 0 to node 3 within one sweep.
 """
 
 import pytest
@@ -11,10 +10,7 @@ from hypothesis import strategies as st
 
 from repro.mobility.trace import Contact, ContactTrace
 from repro.routing.base import RoutingAgent
-from repro.routing.direct import DirectDelivery
 from repro.routing.epidemic import EpidemicRouting
-from repro.routing.prophet import ProphetRouting
-from repro.routing.spraywait import SprayAndWait
 from repro.sim.messages import Message, reset_message_ids
 from repro.sim.stats import StatsRegistry
 from tests.conftest import build_network
@@ -33,31 +29,6 @@ def originate(net, agents, src, dst, at, kind="data"):
     net.sim.run(until=at)
     agents[src].originate(message)
     return message
-
-
-class TestDirectDelivery:
-    def test_delivers_on_direct_contact(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, DirectDelivery)
-        originate(net, agents, 0, 1, at=5.0)
-        net.sim.run(until=100.0)
-        assert len(agents[1].deliveries) == 1
-
-    def test_never_relays(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, DirectDelivery)
-        originate(net, agents, 0, 3, at=5.0)
-        net.sim.run(until=1000.0)
-        assert len(agents[3].deliveries) == 0
-        # message still sits in 0's buffer
-        assert len(agents[0].buffer) == 1
-
-    def test_local_copy_dropped_after_delivery(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, DirectDelivery)
-        originate(net, agents, 0, 1, at=5.0)
-        net.sim.run(until=100.0)
-        assert len(agents[0].buffer) == 0
 
 
 class TestEpidemicRouting:
@@ -191,87 +162,6 @@ class TestEpidemicSummaryVector:
         assert run_epidemic(EpidemicRouting, scenario) == run_epidemic(
             FullScanEpidemic, scenario
         )
-
-
-class TestSprayAndWait:
-    def test_copy_budget_limits_spread(self):
-        # star: node 0 meets 1..4 in sequence, then 5 (the destination) never
-        contacts = [Contact.make(0, peer, 10.0 * peer, 10.0 * peer + 5) for peer in (1, 2, 3, 4)]
-        trace = ContactTrace(contacts, node_ids=[0, 1, 2, 3, 4, 5])
-        net = build_network(trace)
-        agents = install(net, SprayAndWait, initial_copies=4)
-        originate(net, agents, 0, 5, at=5.0)
-        net.sim.run(until=100.0)
-        carriers = [nid for nid, agent in agents.items() if agent.buffer]
-        # binary spray with 4 tokens: 0 gives 2 to node 1, 1 to node 2, done
-        assert 1 in carriers and 2 in carriers
-        assert 3 not in carriers and 4 not in carriers
-
-    def test_wait_phase_direct_delivery(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, SprayAndWait, initial_copies=2)
-        originate(net, agents, 0, 2, at=5.0)
-        net.sim.run(until=1000.0)
-        # node 1 gets the single sprayed copy and later meets node 2
-        assert len(agents[2].deliveries) == 1
-
-    def test_token_conservation(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, SprayAndWait, initial_copies=8)
-        message = originate(net, agents, 0, 3, at=5.0)
-        net.sim.run(until=45.0)
-        total = 0
-        for agent in agents.values():
-            held = agent.buffer.get(message.msg_id)
-            if held is not None:
-                total += held.payload["sw_tokens"]
-        assert total == 8
-
-    def test_invalid_copies(self):
-        with pytest.raises(ValueError):
-            SprayAndWait(initial_copies=0)
-
-
-class TestProphet:
-    def test_direct_encounter_raises_predictability(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, ProphetRouting)
-        net.sim.run(until=25.0)
-        assert agents[0].predictability_to(1) >= 0.75
-        assert agents[1].predictability_to(0) >= 0.75
-
-    def test_transitivity(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, ProphetRouting)
-        net.sim.run(until=45.0)
-        # 1 met 0, then 2 met 1 -> 2 learns about 0 transitively
-        assert agents[2].predictability_to(0) > 0.0
-
-    def test_aging_decays(self, line_trace, network_factory):
-        net = network_factory(line_trace, )
-        agents = install(net, ProphetRouting, aging_unit=10.0, gamma=0.5)
-        net.sim.run(until=25.0)
-        after_contact = agents[0].predictability_to(1)
-        net.sim.run(until=85.0)
-        agents[0]._age()
-        assert agents[0].predictability_to(1) < after_contact
-
-    def test_routes_along_gradient(self, line_trace, network_factory):
-        net = network_factory(line_trace)
-        agents = install(net, ProphetRouting)
-        # warm up predictabilities over one sweep, then send in the second
-        net.sim.run(until=100.0)
-        originate(net, agents, 0, 3, at=105.0)
-        net.sim.run(until=1000.0)
-        assert len(agents[3].deliveries) == 1
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ProphetRouting(p_init=0.0)
-        with pytest.raises(ValueError):
-            ProphetRouting(gamma=1.5)
-        with pytest.raises(ValueError):
-            ProphetRouting(beta=-0.1)
 
 
 class TestRoutingAgentBase:

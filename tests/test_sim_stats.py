@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import stats as stats_module
 from repro.sim.stats import StatsRegistry, Tally, TimeSeries
 
 
@@ -191,66 +190,3 @@ class TestGauge:
         stats.gauge("a").set(1.0)
         assert stats.gauges() == {"a": 1.0, "b": 2.0}
         assert list(stats.gauges()) == ["a", "b"]
-
-
-class TestStreamingTally:
-    """Reservoir mode: bounded memory, exact moments, estimated (but
-    reproducible) percentiles."""
-
-    def test_exact_mode_is_default(self):
-        assert not stats_module.Tally("t").streaming
-
-    def test_module_flag_controls_default(self, monkeypatch):
-        monkeypatch.setattr(stats_module, "STREAMING_TALLIES", True)
-        assert stats_module.Tally("t").streaming
-        assert not stats_module.Tally("t", streaming=False).streaming
-
-    def test_reservoir_is_bounded(self):
-        tally = stats_module.Tally("bounded", streaming=True)
-        for i in range(3 * stats_module.RESERVOIR_SIZE):
-            tally.observe(float(i))
-        assert len(tally._samples) == stats_module.RESERVOIR_SIZE
-        assert tally.count == 3 * stats_module.RESERVOIR_SIZE
-
-    def test_moments_stay_exact_in_streaming_mode(self):
-        exact = stats_module.Tally("exact")
-        streaming = stats_module.Tally("exact", streaming=True)
-        values = [((i * 7919) % 1000) / 10.0
-                  for i in range(2 * stats_module.RESERVOIR_SIZE)]
-        for v in values:
-            exact.observe(v)
-            streaming.observe(v)
-        assert streaming.count == exact.count
-        assert streaming.mean == pytest.approx(exact.mean)
-        assert streaming.variance == pytest.approx(exact.variance)
-        assert streaming.min == exact.min
-        assert streaming.max == exact.max
-
-    def test_percentile_estimate_is_close(self):
-        exact = stats_module.Tally("p", streaming=False)
-        streaming = stats_module.Tally("p", streaming=True)
-        for i in range(20 * stats_module.RESERVOIR_SIZE):
-            value = float((i * 104729) % 100_000)
-            exact.observe(value)
-            streaming.observe(value)
-        for q in (50.0, 95.0, 99.0):
-            assert streaming.percentile(q) == pytest.approx(
-                exact.percentile(q), rel=0.05
-            )
-
-    def test_streaming_is_reproducible(self):
-        def fill(name):
-            tally = stats_module.Tally(name, streaming=True)
-            for i in range(3 * stats_module.RESERVOIR_SIZE):
-                tally.observe(float((i * 31) % 977))
-            return tally
-
-        a, b = fill("same-name"), fill("same-name")
-        assert a._samples == b._samples
-        assert a.p99 == b.p99
-
-    def test_below_reservoir_size_percentiles_are_exact(self):
-        tally = stats_module.Tally("small", streaming=True)
-        for v in (3.0, 1.0, 2.0):
-            tally.observe(v)
-        assert tally.p50 == 2.0

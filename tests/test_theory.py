@@ -216,6 +216,30 @@ class TestFromRuntime:
         )
         assert model.num_requesters == expected
 
+    def test_prediction_is_passive(self, monkeypatch):
+        """Predicting reads only static wiring and draws no randomness,
+        so a prediction evaluated between build and run leaves every
+        metric of the run unchanged."""
+        from repro.experiments import Settings, runner
+
+        settings = Settings.fast()
+        trace = runner.make_trace(settings, seed=1)
+        baseline = runner.run_once(trace, "hdr", settings, seed=1,
+                                   with_queries=True)
+        build = runner.build_simulation
+        predictions = []
+
+        def build_then_predict(*args, **kwargs):
+            runtime = build(*args, **kwargs)
+            predictions.append(FreshnessModel.from_runtime(runtime).predict())
+            return runtime
+
+        monkeypatch.setattr(runner, "build_simulation", build_then_predict)
+        predicted = runner.run_once(trace, "hdr", settings, seed=1,
+                                    with_queries=True)
+        assert len(predictions) == 1 and predictions[0].nodes
+        assert predicted.same_as(baseline)
+
     def test_epidemic_scheme_raises(self):
         from repro.core.scheme import build_simulation
         from repro.experiments import Settings

@@ -8,17 +8,17 @@ replaces.  These tests pin that contract:
 
 - chunked generation equals monolithic generation for every mobility
   model, including pathological chunk sizes;
-- ``mle_rates``/``ewma_rates``/``RateTable.matrix`` agree exactly across
-  the ``VECTORISED_RATES`` flag (Hypothesis-driven);
+- ``mle_rates``/``ewma_rates`` on :class:`ContactArrays` equal the
+  object-trace estimators exactly, and ``RateTable.matrix`` equals a
+  pair-by-pair fill (Hypothesis-driven);
 - the half-open estimation window counts boundary contacts once;
-- NCL selection and refresh trees are identical across the flag;
+- NCL selection on array-backed tables equals the dict-backed ranking,
+  and refresh trees equal the per-child-lookup reference builder;
 - the SoA event stream built from :class:`ContactArrays` matches the one
   built from ``Contact`` objects, and the object backend refuses arrays;
 - one small scale point produces the same simulation from either trace
   representation.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.caching.items import DataCatalog
 from repro.caching.ncl import select_caching_nodes
-from repro.contacts import rates as rates_module
 from repro.contacts.rates import RateTable, ewma_rates, mle_rates
 from repro.core.hierarchy import build_tree
 from repro.core.scheme import build_simulation
@@ -37,18 +36,9 @@ from repro.mobility.rwp import RandomWaypointModel
 from repro.mobility.synthetic import PoissonContactModel
 from repro.mobility.trace import Contact, ContactTrace
 from repro.mobility.workingday import WorkingDayModel
+from tests.reference_paths import build_tree_scalar, rate_matrix_loop
 
 HOUR = 3600.0
-
-
-@contextmanager
-def vectorised(enabled):
-    saved = rates_module.VECTORISED_RATES
-    rates_module.VECTORISED_RATES = enabled
-    try:
-        yield
-    finally:
-        rates_module.VECTORISED_RATES = saved
 
 
 def _rate_matrix(n, seed=0, scale=2e-4):
@@ -146,16 +136,14 @@ def contact_lists(draw):
 
 
 class TestRateEstimationIdentity:
-    """The array estimators must match the scalar loops bit for bit."""
+    """The array estimators must match the object-trace loops bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(trace=contact_lists())
     def test_mle_rates_identity(self, trace):
         arrays = ContactArrays.from_trace(trace)
-        with vectorised(False):
-            scalar = dict(mle_rates(trace).pairs())
-        with vectorised(True):
-            vec = dict(mle_rates(arrays).pairs())
+        scalar = dict(mle_rates(trace).pairs())
+        vec = dict(mle_rates(arrays).pairs())
         assert vec == scalar  # exact float equality, not approx
 
     @settings(max_examples=60, deadline=None)
@@ -163,20 +151,19 @@ class TestRateEstimationIdentity:
            alpha=st.floats(min_value=0.05, max_value=0.95, allow_nan=False))
     def test_ewma_rates_identity(self, trace, alpha):
         arrays = ContactArrays.from_trace(trace)
-        with vectorised(False):
-            scalar = dict(ewma_rates(trace, alpha=alpha).pairs())
-        with vectorised(True):
-            vec = dict(ewma_rates(arrays, alpha=alpha).pairs())
+        scalar = dict(ewma_rates(trace, alpha=alpha).pairs())
+        vec = dict(ewma_rates(arrays, alpha=alpha).pairs())
         assert vec == scalar
 
     @settings(max_examples=40, deadline=None)
-    @given(trace=contact_lists())
-    def test_matrix_identity(self, trace):
-        table = mle_rates(ContactArrays.from_trace(trace))
-        ids = sorted(table.nodes())
-        vec = table.matrix(ids)
-        scalar = table._matrix_scalar(ids)
-        np.testing.assert_array_equal(vec, scalar)
+    @given(trace=contact_lists(), data=st.data())
+    def test_matrix_identity(self, trace, data):
+        # both backings, over node lists in any order with unknown ids
+        for table in (mle_rates(ContactArrays.from_trace(trace)),
+                      mle_rates(trace)):
+            ids = data.draw(st.permutations(sorted(table.nodes()) + [99]))
+            np.testing.assert_array_equal(table.matrix(ids),
+                                          rate_matrix_loop(table, ids))
 
     def test_half_open_window(self):
         # contact starting exactly at t1 is outside [t0, t1); exactly at
@@ -186,15 +173,14 @@ class TestRateEstimationIdentity:
             Contact.make(0, 1, 50.0, 60.0),
             Contact.make(0, 1, 100.0, 110.0),
         ])
-        for flag, make in ((False, lambda: trace),
-                           (True, lambda: ContactArrays.from_trace(trace))):
-            with vectorised(flag):
-                assert mle_rates(make(), t0=0.0, t1=100.0).rate(0, 1) == 0.02
-                assert mle_rates(make(), t0=50.0, t1=150.0).rate(0, 1) == 0.02
+        for source in (trace, ContactArrays.from_trace(trace)):
+            assert mle_rates(source, t0=0.0, t1=100.0).rate(0, 1) == 0.02
+            assert mle_rates(source, t0=50.0, t1=150.0).rate(0, 1) == 0.02
 
 
 class TestPlanningIdentity:
-    """NCL selection and trees must not depend on the flag."""
+    """Array-backed NCL selection must rank like the dict-backed path,
+    and trees must match the per-child-lookup reference builder."""
 
     def _table(self):
         model = PoissonContactModel(_rate_matrix(20, seed=4, scale=5e-4))
@@ -205,20 +191,18 @@ class TestPlanningIdentity:
     def test_selection_identity(self, metric):
         table = self._table()
         assert table.is_array_backed
-        with vectorised(True):
-            fast = select_caching_nodes(table, 6, metric=metric)
-        with vectorised(False):
-            slow = select_caching_nodes(table, 6, metric=metric)
+        as_dict = RateTable(dict(table.pairs()))
+        assert not as_dict.is_array_backed
+        fast = select_caching_nodes(table, 6, metric=metric)
+        slow = select_caching_nodes(as_dict, 6, metric=metric)
         assert fast == slow
 
     def test_tree_identity(self):
         table = self._table()
         caching = select_caching_nodes(table, 8)
         root = next(n for n in sorted(table.nodes()) if n not in caching)
-        with vectorised(True):
-            fast = build_tree(root, caching, table, fanout=3, max_depth=3)
-        with vectorised(False):
-            slow = build_tree(root, caching, table, fanout=3, max_depth=3)
+        fast = build_tree(root, caching, table, fanout=3, max_depth=3)
+        slow = build_tree_scalar(root, caching, table, fanout=3, max_depth=3)
         assert fast.edges() == slow.edges()
 
 
@@ -276,23 +260,19 @@ class TestEventStreamFromArrays:
 
 
 class TestScalePointEquivalence:
-    """One small scale point, all three build routes, same simulation."""
+    """One small scale point, both trace representations, same simulation."""
 
     def test_trace_modes_agree(self):
         from repro.experiments.scale import DAY, run_scale_point
 
         kwargs = dict(duration=0.25 * DAY, contacts_per_node=8.0,
                       num_caching_nodes=6, num_items=2, seed=11)
-        via_arrays = run_scale_point(80, backend="soa", trace_mode="arrays",
-                                     **kwargs)
-        via_objects = run_scale_point(80, backend="soa", trace_mode="objects",
-                                      **kwargs)
-        object_backend = run_scale_point(80, backend="object",
-                                         trace_mode="objects", **kwargs)
+        # the soa point builds from ContactArrays, the object point from
+        # Contact objects of the same draws
+        via_arrays = run_scale_point(80, backend="soa", **kwargs)
+        via_objects = run_scale_point(80, backend="object", **kwargs)
         for key in ("contacts", "events", "messages", "freshness"):
-            assert via_arrays[key] == via_objects[key] == object_backend[key]
-        assert via_arrays["trace_mode"] == "arrays"
-        assert via_objects["trace_mode"] == "objects"
+            assert via_arrays[key] == via_objects[key]
 
     def test_build_phase_records(self, tmp_path):
         from repro.experiments.scale import DAY, run_scale_point
@@ -471,14 +451,6 @@ class TestBenchBuildFloor:
         assert set(_scale_points(True)) <= set(_scale_points(False))
         assert ("soa", 250_000) in _scale_points(True)
         assert ("soa", 500_000) in _scale_points(False)
-
-    def test_legacy_mode_flips_rates_flag(self):
-        from repro.experiments.bench import legacy_mode
-
-        assert rates_module.VECTORISED_RATES
-        with legacy_mode():
-            assert not rates_module.VECTORISED_RATES
-        assert rates_module.VECTORISED_RATES
 
 
 class TestProfileCli:
