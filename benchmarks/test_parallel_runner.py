@@ -12,8 +12,8 @@ import time
 import pytest
 
 from repro.experiments.artifacts import cache_clear
-from repro.experiments.bench import available_cpus
 from repro.experiments.config import Settings
+from repro.experiments.parallel import available_cpus
 from repro.experiments.runner import run_replicated
 
 SCHEMES = ("hdr", "flooding", "random", "source")

@@ -13,8 +13,6 @@
     repro predict --scheme hdr ...    # closed-form freshness predictions
     repro serve --source replay ...   # live service: stream contacts + HTTP API
     repro loadgen --rate 2000 ...     # fire Zipf queries at the live service
-    repro bench [-o BENCH.json]       # sweep/soa/scale/obs/service benchmarks
-    repro profile [--scheme hdr]      # cProfile one reference simulation
 """
 
 from __future__ import annotations
@@ -814,182 +812,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.loadgen import run_from_args
+    from repro.service import loadgen
 
-    return run_from_args(args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        check_scale_regression,
-        check_service_regression,
-        run_benchmarks,
-    )
-
-    if _resolve_jobs_or_complain(args.jobs) is None:
-        return 2
-    report = run_benchmarks(jobs=args.jobs, path=args.output, quick=args.quick)
-    sweep = report["sweep"]
-    if "skipped" in sweep:
-        print(f"sweep     : skipped ({sweep['skipped']}, "
-              f"{sweep.get('cpus', '?')} usable cpu(s))")
-        if sweep.get("note"):
-            print(f"            {sweep['note']}")
-    else:
-        print(f"sweep     : serial {sweep['serial_seconds']:.2f}s, "
-              f"jobs={sweep['jobs']} {sweep['parallel_seconds']:.2f}s "
-              f"({sweep['speedup']:.2f}x on {sweep['cpus']} cpu(s))")
-    soa = report["soa"]
-    print(f"soa       : object {soa['object_seconds']:.2f}s, "
-          f"soa {soa['soa_seconds']:.2f}s over {soa['runs']} runs "
-          f"({soa['speedup']:.2f}x, identical={soa['identical']})")
-    for point in report["scale"]["points"]:
-        if "error" in point:
-            print(f"scale     : {point['backend']}@{point['nodes']}: "
-                  f"ERROR {point['error']}")
-            continue
-        build = (f"build {point['build_total_s']:.2f}s"
-                 if point.get("build_total_s") is not None
-                 else f"build {point['build_s']:.2f}s")
-        if point.get("build_contacts_per_sec"):
-            build += f" @ {point['build_contacts_per_sec']:,.0f} contacts/s"
-        print(f"scale     : {point['backend']:6s} {point['nodes']:>7,} nodes: "
-              f"{point['events_per_sec']:>13,.0f} events/s, "
-              f"peak RSS {point['peak_rss_mb']:.0f} MB "
-              f"(run {point['run_s']:.3f}s, {build})")
-    scale = report["scale"]
-    print(f"            soa/object at 1k nodes: {scale['soa_speedup_1k']}x "
-          f"(floor {scale['speedup_floor']}x), "
-          f"RSS ceiling {scale['rss_ceiling_mb']:.0f} MB, "
-          f"build floor {scale['build_floor_contacts_per_sec']:,.0f} "
-          f"contacts/s at {scale['build_floor_min_nodes']:,}+ nodes")
-    obs = report["obs"]
-    print(f"obs       : untraced {obs['untraced_seconds']:.2f}s, "
-          f"traced {obs['traced_seconds']:.2f}s "
-          f"({obs['overhead_pct']:+.1f}%, {obs['records']} records, "
-          f"identical={obs['identical']})")
-    faults = report["faults"]
-    print(f"faults    : no-plan {faults['no_plan_seconds']:.2f}s, "
-          f"null-plan {faults['null_plan_seconds']:.2f}s "
-          f"({faults['overhead_pct']:+.1f}%, identical={faults['identical']}), "
-          f"faulted {faults['faulted_seconds']:.2f}s")
-    theory = report["theory"]
-    print(f"theory    : predict {theory['predict_seconds']:.2f}s for "
-          f"{theory['nodes_predicted']} node CDFs "
-          f"(run {theory['baseline_seconds']:.2f}s, "
-          f"passive={theory['identical']}), "
-          f"max|err| {theory['max_error']:.3f} vs band "
-          f"{theory['tolerance']:.3f} (agree={theory['agreement']})")
-    service = report["service"]
-    throughput = service["throughput"]
-    print(f"service   : {throughput['achieved_qps']:,.0f} q/s sustained "
-          f"(target {throughput['target_qps']:,.0f}, "
-          f"floor {service['qps_floor']:,.0f}), latency ms "
-          f"p50 {throughput['p50_ms']:.3f} / p95 {throughput['p95_ms']:.3f} "
-          f"/ p99 {throughput['p99_ms']:.3f}, "
-          f"identical={service['identical']}")
-    overload = service["overload"]
-    if "error" in overload:
-        print(f"            overload: ERROR {overload['error']}")
-    else:
-        print(f"            overload 2x: served {overload['completed']}, "
-              f"shed {overload['shed']}, peak RSS "
-              f"{overload['peak_rss_mb']:.0f} MB "
-              f"(ceiling {service['rss_ceiling_mb']:.0f} MB)")
-    durability = service.get("durability")
-    if durability is not None:
-        print(f"            durability: killed={durability['killed']}, "
-              f"resume identical={durability['resume_identical']} "
-              f"in {durability['resume_seconds']:.1f}s, durable replay "
-              f"{durability['durable_replay_seconds']:.1f}s "
-              f"({durability['checkpoint_overhead_pct']:+.1f}% vs plain)")
-    print(f"wrote {args.output}")
-    status = 0
-    if args.check_baseline is not None:
-        ok, message = check_scale_regression(report, args.check_baseline)
-        print(("ok  : " if ok else "FAIL: ") + message)
-        if not ok:
-            status = 1
-        ok, message = check_service_regression(report, args.check_baseline)
-        print(("ok  : " if ok else "FAIL: ") + message)
-        if not ok:
-            status = 1
-    if not report["soa"]["identical"]:
-        print("FAIL: soa backend diverged from the object backend")
-        status = 1
-    if not report["obs"]["identical"]:
-        print("FAIL: traced run metrics diverged from the untraced run")
-        status = 1
-    if not report["faults"]["identical"]:
-        print("FAIL: null fault plan changed run metrics "
-              "(no-plan runs must be bit-identical)")
-        status = 1
-    if not report["faults"]["faulted_differs"]:
-        print("FAIL: fault plan injected nothing (faulted run identical "
-              "to baseline)")
-        status = 1
-    if not report["theory"]["identical"]:
-        print("FAIL: evaluating the freshness model changed run metrics "
-              "(prediction must be passive)")
-        status = 1
-    if not report["theory"]["agreement"]:
-        print("FAIL: model prediction outside the trace's agreement band")
-        status = 1
-    if not report["service"]["identical"]:
-        print("FAIL: live-service replay diverged from the batch run")
-        status = 1
-    if not report["service"]["overload_ok"]:
-        print("FAIL: service overload run unhealthy (no sheds, no "
-              "completions, or peak RSS over the ceiling)")
-        status = 1
-    durability = report["service"].get("durability", {})
-    if not (durability.get("killed")
-            and durability.get("resume_identical")
-            and durability.get("durable_identical")):
-        print("FAIL: kill/resume equivalence broken (a SIGKILLed run "
-              "resumed from its checkpoint must match the batch run)")
-        status = 1
-    return status
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    if args.nodes is not None:
-        # build+run of one synthetic scaling point -- the vectorised
-        # build pipeline (synthesis, estimation, construction) dominates
-        # here, which is exactly what this mode is for inspecting
-        from repro.experiments.scale import run_scale_point
-
-        profiler.enable()
-        result = run_scale_point(args.nodes, backend=args.backend,
-                                 scheme=args.scheme)
-        profiler.disable()
-        tail = (f"nodes={result['nodes']} backend={result['backend']} "
-                f"build={result['build_total_s']:.2f}s "
-                f"run={result['run_s']:.2f}s")
-    else:
-        from repro.experiments.bench import reference_settings
-        from repro.experiments.runner import make_trace, run_once
-
-        settings = reference_settings(quick=args.quick)
-        seed = settings.seeds[0]
-        trace = make_trace(settings, seed)
-        profiler.enable()
-        metrics = run_once(trace, args.scheme, settings, seed=seed,
-                           backend=args.backend)
-        profiler.disable()
-        tail = (f"scheme={metrics.scheme} freshness={metrics.freshness:.4f} "
-                f"messages={metrics.messages:.0f}")
-    stats = pstats.Stats(profiler)
-    stats.sort_stats(args.sort).print_stats(args.top)
-    print(tail)
-    if args.output:
-        profiler.dump_stats(args.output)
-        print(f"wrote {args.output} (open with pstats or snakeviz)")
-    return 0
+    return loadgen.run_from_args(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1215,45 +1040,10 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="fire Zipf queries at a live service and report latency",
     )
-    from repro.service.loadgen import add_arguments as _loadgen_arguments
+    from repro.service import loadgen
 
-    _loadgen_arguments(loadgen_parser)
+    loadgen.add_arguments(loadgen_parser)
 
-    bench_parser = sub.add_parser(
-        "bench", help="sweep/soa/scale/obs/faults/theory/service benchmarks"
-    )
-    bench_parser.add_argument("--jobs", "-j", type=int, default=4,
-                              help="worker processes for the sweep half")
-    bench_parser.add_argument("--output", "-o", metavar="FILE",
-                              default="BENCH_runner.json",
-                              help="JSON report path (default: "
-                              "BENCH_runner.json)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="shrunken workloads for CI smoke runs")
-    bench_parser.add_argument("--check-baseline", metavar="FILE", default=None,
-                              help="fail (exit 1) if scale events/sec or "
-                              "service p95 latency regresses >30%% against "
-                              "this committed report")
-
-    profile_parser = sub.add_parser(
-        "profile", help="cProfile one reference-scenario simulation run"
-    )
-    profile_parser.add_argument("--scheme", default="hdr")
-    profile_parser.add_argument("--backend", choices=("object", "soa"),
-                                default="object",
-                                help="simulation engine to profile")
-    profile_parser.add_argument("--nodes", type=int, default=None,
-                                help="profile a synthetic scaling point of "
-                                "this size (build + run) instead of the "
-                                "reference scenario")
-    profile_parser.add_argument("--sort", default="cumulative",
-                                choices=["cumulative", "tottime", "calls"])
-    profile_parser.add_argument("--top", type=int, default=25,
-                                help="rows of the stats table to print")
-    profile_parser.add_argument("--quick", action="store_true",
-                                help="smaller scenario (2 seeds, 3 days)")
-    profile_parser.add_argument("--output", "-o", metavar="FILE", default=None,
-                                help="also dump raw pstats data to FILE")
     return parser
 
 
@@ -1298,8 +1088,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "predict": _cmd_predict,
         "serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
-        "bench": _cmd_bench,
-        "profile": _cmd_profile,
     }
     try:
         with _terminate_as_interrupt():

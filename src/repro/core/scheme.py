@@ -179,6 +179,11 @@ class SchemeRuntime:
     #: was wired to, or ``None`` for an untraced (zero-overhead) run
     trace: Optional[EventBus] = None
 
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        """Every node id of the simulated population, ascending."""
+        return tuple(sorted(self.nodes))
+
     def run(self, until: Optional[float] = None) -> float:
         """Start the network and advance the simulation to ``until``."""
         return self.network.run(until=until)

@@ -28,8 +28,7 @@ The per-node protocol state (task tables, neighbour sets, carried
 version maps) mirrors :mod:`repro.core.refresh` operation-for-operation
 -- including dict-slot and set-iteration order -- so a SoA run is
 ``RunMetrics.same_as``-identical to the object backend on every
-supported scheme.  The cross-check lives in ``tests/test_soa.py`` and
-the ``soa`` section of ``repro bench``.
+supported scheme.  The cross-check lives in ``tests/test_soa.py``.
 
 Unsupported in this backend (build raises ``ValueError``): the
 ``invalidate`` scheme, the query plane, fault injection, event tracing,
@@ -131,6 +130,8 @@ class SoaRuntime:
     ) -> None:
         self.config = config
         self.stream = stream
+        #: every node id of the simulated population, ascending
+        self.node_ids = stream.node_ids
         self.catalog = catalog
         self.history = history
         self.rates = rates

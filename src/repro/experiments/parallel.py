@@ -54,18 +54,31 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 _AUTO_VALUES = {"auto", "max", "0", "-1"}
 
 
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    Unlike ``os.cpu_count()``, this respects the affinity mask that
+    ``taskset`` or a cpuset puts on the process.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve the worker count: argument > ``$REPRO_JOBS`` > 1.
 
     ``0``, ``-1`` or the strings ``auto``/``max`` (in the environment
-    variable) select one worker per available CPU.
+    variable) select one worker per CPU this process may run on
+    (:func:`available_cpus`).
     """
     if jobs is None:
         raw = os.environ.get(JOBS_ENV_VAR, "").strip().lower()
         if not raw:
             return 1
         if raw in _AUTO_VALUES:
-            return os.cpu_count() or 1
+            return available_cpus()
         try:
             jobs = int(raw)
         except ValueError:
@@ -73,7 +86,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
                 f"invalid {JOBS_ENV_VAR}={raw!r}: expected an integer or 'auto'"
             ) from None
     if jobs in (0, -1):
-        return os.cpu_count() or 1
+        return available_cpus()
     if jobs < -1:
         raise ValueError(f"invalid worker count {jobs}")
     return int(jobs)

@@ -1,28 +1,28 @@
-"""Scaling benchmark: events/sec and peak RSS vs node count.
+"""Scaling point: events/sec, build split and peak RSS at a node count.
 
-The ROADMAP's "millions of users" items all hinge on one question: how
-fast does one process chew through contact events as the population
-grows?  This module measures exactly that, for both simulation backends,
-on a synthetic sparse contact schedule whose size is controlled by
+How fast does one process chew through contact events as the population
+grows?  This module measures it for both simulation backends on a
+synthetic sparse contact schedule whose size is controlled by
 ``--nodes`` -- up to metro scale (100k-1M nodes), far beyond what the
 paper's ~100-node traces exercise.
 
 Each measurement should run in its own process (``python -m
 repro.experiments.scale --nodes N --backend soa --json``): peak RSS is
 read from ``getrusage`` and is a process-lifetime high-water mark, so
-points measured in a shared process would contaminate each other.  The
-``scale`` section of :mod:`repro.experiments.bench` does exactly this.
+points measured in a shared process would contaminate each other.
+``benchmarks/test_scale_rss.py`` does exactly this to hold the 250k-node
+soa build under its peak-RSS ceiling.
 
 The build phase is timed in three stages -- synthesis (drawing the
 contact schedule), estimation (pairwise MLE rates) and construction
 (NCL selection, trees, relay plans, the event stream) -- and the result
-carries both the split and a ``build_contacts_per_sec`` throughput the
-bench regression gate can hold a floor against.  The ``soa`` backend
-runs the whole build array-natively on a
+carries both the split and a ``build_contacts_per_sec`` throughput.  The
+``soa`` backend runs the whole build array-natively on a
 :class:`~repro.mobility.arrays.ContactArrays` trace; the ``object``
 backend, which cannot consume arrays, builds from ``Contact`` objects
 (the two produce identical simulations -- the equivalence tests rely on
-it).
+it).  The points draw uniform random pairs, so they carry almost no
+protocol traffic: they measure the executor, not the scheme.
 """
 
 from __future__ import annotations
@@ -150,14 +150,12 @@ def run_scale_point(
     num_items: int = 4,
     num_sources: int = 2,
     probe_interval: float = 600.0,
-    record_path: Optional[str] = None,
 ) -> dict:
     """Build + run one (node count, backend) measurement; returns the
     JSON-ready result dict.
 
     The soa backend builds from :func:`synthetic_arrays`, the object
-    backend from :func:`synthetic_trace`.  ``record_path`` appends
-    per-stage :class:`~repro.obs.records.BuildPhaseRecord` rows as JSONL.
+    backend from :func:`synthetic_trace`.
     """
     from repro.core.scheme import build_simulation
 
@@ -200,7 +198,7 @@ def run_scale_point(
     contacts = len(trace)
     build_total = t3 - t0
     run_s = t4 - t3
-    result = {
+    return {
         "nodes": num_nodes,
         "backend": backend,
         "scheme": scheme,
@@ -221,30 +219,6 @@ def run_scale_point(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
         ),
     }
-    if record_path:
-        _append_build_records(record_path, result, t0, t1, t2, t3, t4)
-    return result
-
-
-def _append_build_records(path: str, result: dict, t0: float, t1: float,
-                          t2: float, t3: float, t4: float) -> None:
-    """Append one ``build.phase`` JSONL row per stage to ``path``."""
-    from repro.obs.records import BuildPhaseRecord
-
-    nodes, contacts = result["nodes"], result["contacts"]
-    stages = [
-        ("synthesis", t0, t1),
-        ("estimation", t1, t2),
-        ("construction", t2, t3),
-        ("run", t3, t4),
-    ]
-    with open(path, "a", encoding="utf-8") as fh:
-        for phase, lo, hi in stages:
-            record = BuildPhaseRecord(
-                time=round(lo - t0, 6), phase=phase,
-                seconds=round(hi - lo, 6), nodes=nodes, contacts=contacts,
-            )
-            fh.write(json.dumps(record.as_dict()) + "\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -258,10 +232,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--contacts-per-node", type=float, default=20.0)
     parser.add_argument("--days", type=float, default=2.0)
-    parser.add_argument(
-        "--record", metavar="FILE", default=None,
-        help="append per-stage build.phase records to FILE as JSONL",
-    )
     parser.add_argument("--json", action="store_true", help="emit one JSON dict")
     args = parser.parse_args(argv)
     result = run_scale_point(
@@ -271,7 +241,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         seed=args.seed,
         contacts_per_node=args.contacts_per_node,
         duration=args.days * DAY,
-        record_path=args.record,
     )
     if args.json:
         json.dump(result, sys.stdout)

@@ -37,7 +37,6 @@ kind                emitted when
 ``fault.flap``      a link flap cuts a contact short
 ``fault.outage``    a data source stalls/resumes version generation
 ``model.predict``   one predicted-vs-measured metric row (theory layer)
-``build.phase``     wall-clock split of one build stage (scale harness)
 ``service.snapshot`` periodic live-service progress summary
 ``service.checkpoint`` the durability layer wrote a consistent manifest
 ``service.restore`` a service was rebuilt from a checkpoint directory
@@ -448,26 +447,6 @@ class ModelPredictRecord(TraceRecord):
         self.error = error
 
 
-class BuildPhaseRecord(TraceRecord):
-    """Wall-clock seconds one build stage took in the scale harness
-    (``phase`` is ``"synthesis"``/``"estimation"``/``"construction"``/
-    ``"run"``).  Emitted by :mod:`repro.experiments.scale`, never by the
-    simulation itself; ``time`` is the stage's offset from the
-    measurement start, in wall-clock seconds (there is no simulation
-    clock while building)."""
-
-    kind = "build.phase"
-    __slots__ = ("phase", "seconds", "nodes", "contacts")
-
-    def __init__(self, time: float, phase: str, seconds: float,
-                 nodes: int, contacts: int) -> None:
-        self.time = time
-        self.phase = phase
-        self.seconds = seconds
-        self.nodes = nodes
-        self.contacts = contacts
-
-
 class ServiceSnapshot(TraceRecord):
     """Periodic progress snapshot of the live service.
 
@@ -601,7 +580,7 @@ RECORD_TYPES: dict[str, Type[TraceRecord]] = {
         QueryIssue, QueryHit, QueryMiss, QueryComplete,
         FaultMessageLoss, FaultTruncation, FaultCrash, FaultRecover,
         FaultLinkFlap, FaultOutage,
-        ModelPredictRecord, BuildPhaseRecord, ServiceSnapshot,
+        ModelPredictRecord, ServiceSnapshot,
         CheckpointWritten, CheckpointRestored, ServiceRestart,
         SourceReconnect, FaultStream,
     )

@@ -89,22 +89,6 @@ def format_trace_report(records: Sequence[TraceRecord],
     if fault_rows:
         lines += ["", format_table(fault_rows, title="injected faults")]
 
-    build_rows = [
-        {
-            "phase": record.phase,
-            "seconds": round(record.seconds, 3),
-            "nodes": record.nodes,
-            "contacts": record.contacts,
-        }
-        for record in records
-        if record.kind == "build.phase"
-    ]
-    if build_rows:
-        lines += ["", format_table(
-            build_rows, title="build phases (wall-clock)",
-            columns=["phase", "seconds", "nodes", "contacts"],
-        )]
-
     model_rows = [
         {
             "metric": record.metric,

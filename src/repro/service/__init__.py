@@ -47,17 +47,6 @@ from repro.service.sources import FileTailSource, ReplaySource, SocketSource
 from repro.service.supervisor import CrashLoop, RestartPolicy, Supervisor
 
 
-def __getattr__(name: str):
-    # Lazy: ``python -m repro.service.loadgen`` imports this package
-    # first; an eager loadgen import here would shadow runpy's module
-    # execution (and numpy-heavy loadgen is not needed by the runtime).
-    if name in ("generate_load", "http_load", "run_loadgen"):
-        from repro.service import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BuildSpec",
     "CheckpointError",
@@ -79,14 +68,11 @@ __all__ = [
     "SocketSource",
     "Supervisor",
     "build_live_service",
-    "generate_load",
-    "http_load",
     "replay",
     "replay_scores",
     "restore_service",
     "restore_service_async",
     "resume_replay_scores",
-    "run_loadgen",
     "runtime_digest",
     "scan_journal",
     "scores_match",

@@ -8,20 +8,14 @@ overload).  Items follow the same Zipf popularity the batch workloads
 use, through the cached-normalisation
 :class:`~repro.workloads.popularity.ZipfPopularity` hot path.
 
-Two modes:
-
-- **in-process** (:func:`generate_load`): submits straight into a
-  :class:`~repro.service.runtime.LiveService` query queue; latency
-  percentiles come from the service's own ``MetricsRegistry``
-  histogram.
-- **HTTP** (:func:`http_load`): persistent keep-alive connections
-  against a running ``repro serve`` endpoint; latency is measured at
-  the client, 503s count as sheds.
-
-``python -m repro.service.loadgen`` (same engine as ``repro loadgen``)
-runs a self-contained smoke: build a service, replay its trace, fire
-queries, print a report -- the bench and CI overload checks run it as a
-subprocess so peak RSS is attributable to the service alone.
+:func:`generate_load` submits straight into a
+:class:`~repro.service.runtime.LiveService` query queue; latency
+percentiles come from the service's own ``MetricsRegistry`` histogram.
+``repro loadgen`` (:func:`run_loadgen`) runs a self-contained smoke:
+build a service, replay its trace, fire queries, print a report -- the
+overload test runs it as a subprocess so peak RSS is attributable to the
+service alone.  To load a running ``repro serve`` over HTTP, use the
+benchmark's ``python -m bench --workload live-http``.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ import asyncio
 import json
 import math
 import sys
-from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -126,104 +119,6 @@ async def generate_load(
     }
 
 
-# -- HTTP client mode ------------------------------------------------------
-
-
-async def _http_get(reader, writer, path: str) -> int:
-    """One keep-alive GET; returns the status code."""
-    writer.write(
-        f"GET {path} HTTP/1.1\r\nHost: loadgen\r\n\r\n".encode("ascii")
-    )
-    await writer.drain()
-    status_line = await reader.readline()
-    status = int(status_line.split(b" ", 2)[1])
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        if header.lower().startswith(b"content-length:"):
-            length = int(header.split(b":", 1)[1])
-    if length:
-        await reader.readexactly(length)
-    return status
-
-
-async def http_load(
-    host: str,
-    port: int,
-    item_ids: list[int],
-    rate: float,
-    duration: float,
-    seed: int = 0,
-    zipf_s: float = 0.8,
-    connections: int = 8,
-) -> dict:
-    """Open-loop Zipf queries over ``connections`` persistent sockets.
-
-    The target rate is split evenly; each worker paces its own Poisson
-    arrival schedule and issues GETs sequentially on its connection, so
-    when the server falls behind the measured latency grows instead of
-    the offered load shrinking.
-    """
-    from repro.sim.stats import Tally
-
-    latency = Tally("loadgen.latency_ms")
-    completed = 0
-    shed = 0
-    errors = 0
-    offered = 0
-
-    async def worker(worker_id: int) -> None:
-        nonlocal completed, shed, errors, offered
-        rng = np.random.default_rng([seed, worker_id])
-        offsets = _arrival_offsets(rate / connections, duration, rng)
-        popularity = ZipfPopularity(item_ids, s=zipf_s)
-        items = popularity.sample_array(len(offsets), rng)
-        offered += len(offsets)
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            for offset, item_id in zip(offsets.tolist(), items.tolist()):
-                delay = offset - (loop.time() - start)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                issued = perf_counter()
-                try:
-                    status = await _http_get(reader, writer, f"/query?item={item_id}")
-                except (ConnectionError, asyncio.IncompleteReadError, ValueError):
-                    errors += 1
-                    reader, writer = await asyncio.open_connection(host, port)
-                    continue
-                if status == 200:
-                    completed += 1
-                    latency.observe((perf_counter() - issued) * 1e3)
-                elif status == 503:
-                    shed += 1
-                else:
-                    errors += 1
-        finally:
-            writer.close()
-
-    started = perf_counter()
-    await asyncio.gather(*(worker(i) for i in range(connections)))
-    elapsed = perf_counter() - started
-    return {
-        "mode": "http",
-        "offered": offered,
-        "completed": completed,
-        "shed": shed,
-        "errors": errors,
-        "duration_s": elapsed,
-        "target_qps": rate,
-        "achieved_qps": completed / elapsed if elapsed > 0 else math.nan,
-        "p50_ms": latency.percentile(50.0),
-        "p95_ms": latency.percentile(95.0),
-        "p99_ms": latency.percentile(99.0),
-    }
-
-
 # -- self-contained runner -------------------------------------------------
 
 
@@ -310,25 +205,15 @@ def format_report(report: dict) -> str:
         f"shed {report['shed']}, errors {report['errors']}",
         f"  latency ms: p50 {report['p50_ms']:.3f}  "
         f"p95 {report['p95_ms']:.3f}  p99 {report['p99_ms']:.3f}",
+        f"  contacts ingested {report['contacts_ingested']:.0f}, "
+        f"sim time {report['sim_time']:.0f}s, "
+        f"peak RSS {report['peak_rss_mb']:.1f} MB",
     ]
-    if "contacts_ingested" in report:
-        lines.append(
-            f"  contacts ingested {report['contacts_ingested']:.0f}, "
-            f"sim time {report['sim_time']:.0f}s, "
-            f"peak RSS {report['peak_rss_mb']:.1f} MB"
-        )
     return "\n".join(lines)
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the loadgen flags (shared by ``repro loadgen`` and
-    ``python -m repro.service.loadgen``)."""
-    parser.add_argument("--url", help="target a running service instead of "
-                        "building one (e.g. http://127.0.0.1:8642)")
-    parser.add_argument("--items", type=int, default=4,
-                        help="catalog size assumed in --url mode")
-    parser.add_argument("--connections", type=int, default=8,
-                        help="persistent connections in --url mode")
+    """Install the ``repro loadgen`` flags."""
     parser.add_argument("--profile", default="small")
     parser.add_argument("--days", type=float, default=2.0)
     parser.add_argument("--scheme", default="hdr")
@@ -350,49 +235,20 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    if args.url:
-        parts = args.url.split("//", 1)[-1].split(":")
-        host = parts[0]
-        port = int(parts[1]) if len(parts) > 1 else 80
-        report = asyncio.run(
-            http_load(
-                host, port,
-                item_ids=list(range(args.items)),
-                rate=args.rate, duration=args.duration,
-                seed=args.seed, zipf_s=args.zipf,
-                connections=args.connections,
-            )
-        )
-        report["peak_rss_mb"] = peak_rss_mb()
-    else:
-        report = run_loadgen(
-            profile=args.profile,
-            days=args.days,
-            scheme=args.scheme,
-            seed=args.seed,
-            rate=args.rate,
-            duration=args.duration,
-            zipf_s=args.zipf,
-            query_queue=args.query_queue,
-            serve_rate=args.serve_rate,
-            dilation=float(args.dilation),
-        )
+    report = run_loadgen(
+        profile=args.profile,
+        days=args.days,
+        scheme=args.scheme,
+        seed=args.seed,
+        rate=args.rate,
+        duration=args.duration,
+        zipf_s=args.zipf,
+        query_queue=args.query_queue,
+        serve_rate=args.serve_rate,
+        dilation=float(args.dilation),
+    )
     if args.json:
         print(json.dumps(report))
     else:
         print(format_report(report))
     return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="Fire Zipf queries at a live service (self-contained "
-        "replay by default, or --url against a running `repro serve`).",
-    )
-    add_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

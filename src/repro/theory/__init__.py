@@ -23,6 +23,7 @@ from repro.theory.model import (
     FreshnessModel,
     ModelPrediction,
     NodePrediction,
+    UnsupportedRuntime,
     edge_delivery_cdf,
     relay_path_probability,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "ModelReport",
     "ModelRow",
     "NodePrediction",
+    "UnsupportedRuntime",
     "agreement_band",
     "compare",
     "edge_delivery_cdf",

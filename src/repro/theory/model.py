@@ -32,7 +32,7 @@ predictions:
 Everything here is a pure function of the wired structures (rate table,
 refresh trees, relay plans, catalog) -- prediction never touches the
 simulator state, consumes no randomness, and is therefore passive
-(gated by the ``theory`` section of ``repro bench``).
+(``tests/test_theory.py::TestFromRuntime::test_prediction_is_passive``).
 
 Example -- a two-level chain, predicted against the closed forms it is
 built from::
@@ -393,6 +393,10 @@ class ModelPrediction:
         }
 
 
+class UnsupportedRuntime(ValueError):
+    """The model cannot read the static wiring of the given runtime."""
+
+
 class FreshnessModel:
     """Closed-form freshness predictions for a wired scheme.
 
@@ -442,23 +446,30 @@ class FreshnessModel:
         """Model the exact structures a wired runtime will simulate.
 
         Reads only static wiring (rates, trees, plans, catalog, node
-        sets); never touches the simulator, so building and evaluating
-        the model before ``runtime.run()`` cannot perturb the run.
-        ``query_rate`` is the per-requester Poisson rate (1/s) used for
-        query predictions; requesters are counted the way
+        sets) that the object and SoA runtimes both carry; never touches
+        the simulator, so building and evaluating the model before
+        ``runtime.run()`` cannot perturb the run.  ``query_rate`` is the
+        per-requester Poisson rate (1/s) used for query predictions;
+        requesters are counted the way
         :func:`~repro.workloads.queries.schedule_queries` counts them
         (every node that is neither a source nor a caching node).
+        Raises :class:`UnsupportedRuntime` for a runtime without that
+        wiring.
         """
-        requesters = (
-            set(runtime.nodes)
-            - set(runtime.sources)
-            - set(runtime.caching_nodes)
-        )
+        try:
+            requesters = (
+                set(runtime.node_ids)
+                - set(runtime.sources)
+                - set(runtime.caching_nodes)
+            )
+            wiring = (runtime.rates, runtime.trees, runtime.plans,
+                      runtime.catalog)
+        except AttributeError as exc:
+            raise UnsupportedRuntime(
+                f"cannot model a {type(runtime).__name__}: {exc}"
+            ) from None
         return cls(
-            runtime.rates,
-            runtime.trees,
-            runtime.plans,
-            runtime.catalog,
+            *wiring,
             query_rate=query_rate,
             num_requesters=len(requesters),
             grid_points=grid_points,

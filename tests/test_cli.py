@@ -67,43 +67,3 @@ class TestCommands:
         assert "freshness" in out
         assert "queries issued" in out
 
-
-class TestBenchAndProfileParser:
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.output == "BENCH_runner.json"
-        assert args.quick is False
-        assert args.check_baseline is None
-
-    def test_bench_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "-o", "out.json", "--check-baseline", "base.json"]
-        )
-        assert args.quick is True
-        assert args.output == "out.json"
-        assert args.check_baseline == "base.json"
-
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.scheme == "hdr"
-        assert args.sort == "cumulative"
-        assert args.top == 25
-        assert args.quick is False
-        assert args.output is None
-
-    def test_profile_rejects_unknown_sort(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "--sort", "bogus"])
-
-
-class TestProfileCommand:
-    def test_profile_quick_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "profile.pstats"
-        assert main(
-            ["profile", "--quick", "--top", "3", "--sort", "tottime",
-             "-o", str(out_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "scheme=hdr" in out
-        assert "function calls" in out  # pstats table printed
-        assert out_path.exists()

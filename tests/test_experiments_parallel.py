@@ -15,6 +15,7 @@ from repro.experiments.artifacts import (
 from repro.experiments.parallel import (
     JOBS_ENV_VAR,
     SweepPoint,
+    available_cpus,
     resolve_jobs,
     run_sweep,
     run_tasks,
@@ -54,11 +55,25 @@ class TestResolveJobs:
     @pytest.mark.parametrize("raw", ["auto", "max", "0", "-1", "AUTO"])
     def test_auto_values_mean_cpu_count(self, monkeypatch, raw):
         monkeypatch.setenv(JOBS_ENV_VAR, raw)
-        assert resolve_jobs() == (os.cpu_count() or 1)
+        assert resolve_jobs() == available_cpus()
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_zero_and_minus_one_mean_cpu_count(self, jobs):
-        assert resolve_jobs(jobs) == (os.cpu_count() or 1)
+        assert resolve_jobs(jobs) == available_cpus()
+
+    def test_auto_values_respect_cpu_affinity(self, monkeypatch):
+        """A process pinned to one CPU gets one worker, however many CPUs
+        the machine has (``os.cpu_count()`` ignores the affinity mask)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert available_cpus() == 1
+        for jobs in (0, -1):
+            assert resolve_jobs(jobs) == 1
+        for raw in ("auto", "max", "0", "-1"):
+            monkeypatch.setenv(JOBS_ENV_VAR, raw)
+            assert resolve_jobs() == 1
+        assert resolve_jobs(3) == 3  # an explicit count is not capped
 
     def test_invalid_env_var_raises(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "plenty")

@@ -137,7 +137,7 @@ class TestBackpressure:
     def test_overload_subprocess_sheds_within_rss_cap(self):
         """2x overload: bounded queue sheds, memory stays flat."""
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.service.loadgen", "--json",
+            [sys.executable, "-m", "repro.cli", "loadgen", "--json",
              "--days", "2", "--rate", "1000", "--duration", "2",
              "--serve-rate", "500", "--query-queue", "64"],
             capture_output=True, text=True, env=_subprocess_env(),
@@ -329,9 +329,10 @@ class TestHttpApi:
 class TestServeAndLoad:
     def test_in_process_serve_with_load(self):
         """Replay + open-loop load: clean shutdown, latency measured."""
-        from repro.service.loadgen import run_loadgen
+        from repro.service import loadgen
 
-        report = run_loadgen(days=1.0, seed=1, rate=300.0, duration=1.0)
+        report = loadgen.run_loadgen(days=1.0, seed=1, rate=300.0,
+                                     duration=1.0)
         assert report["completed"] > 0
         assert report["shed"] == 0
         assert report["errors"] == 0

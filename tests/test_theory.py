@@ -216,6 +216,41 @@ class TestFromRuntime:
         )
         assert model.num_requesters == expected
 
+    def test_soa_runtime_predicts_like_object_runtime(self, runtime):
+        """Both executors wire the same rates, trees, plans and nodes, so
+        the model reads the same prediction from either runtime."""
+        from repro.core.scheme import build_simulation
+        from repro.experiments import Settings
+        from repro.experiments.runner import (
+            choose_sources,
+            make_catalog,
+            make_trace,
+        )
+
+        settings = Settings.fast()
+        trace = make_trace(settings, seed=1)
+        catalog = make_catalog(settings, choose_sources(trace, settings))
+        soa = build_simulation(
+            trace, catalog, scheme="hdr",
+            num_caching_nodes=settings.num_caching_nodes, seed=1,
+            backend="soa",
+        )
+        from_object = FreshnessModel.from_runtime(runtime, query_rate=1e-4)
+        from_soa = FreshnessModel.from_runtime(soa, query_rate=1e-4)
+        assert from_soa.num_requesters == from_object.num_requesters > 0
+        assert (from_soa.predict().summary()
+                == from_object.predict().summary())
+
+    def test_unreadable_runtime_raises_named_error(self, runtime):
+        from types import SimpleNamespace
+
+        from repro.theory import UnsupportedRuntime
+
+        partial = SimpleNamespace(sources=runtime.sources,
+                                  caching_nodes=runtime.caching_nodes)
+        with pytest.raises(UnsupportedRuntime, match="node_ids"):
+            FreshnessModel.from_runtime(partial)
+
     def test_prediction_is_passive(self, monkeypatch):
         """Predicting reads only static wiring and draws no randomness,
         so a prediction evaluated between build and run leaves every

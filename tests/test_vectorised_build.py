@@ -274,24 +274,6 @@ class TestScalePointEquivalence:
         for key in ("contacts", "events", "messages", "freshness"):
             assert via_arrays[key] == via_objects[key]
 
-    def test_build_phase_records(self, tmp_path):
-        from repro.experiments.scale import DAY, run_scale_point
-        from repro.obs.export import load_trace
-        from repro.obs.report import format_trace_report
-
-        path = tmp_path / "build.jsonl"
-        run_scale_point(40, backend="soa", duration=0.25 * DAY,
-                        contacts_per_node=6.0, num_caching_nodes=4,
-                        num_items=2, record_path=str(path))
-        records = load_trace(str(path))
-        phases = [r.phase for r in records if r.kind == "build.phase"]
-        assert phases == ["synthesis", "estimation", "construction", "run"]
-        assert all(r.seconds >= 0 for r in records)
-        assert all(r.nodes == 40 for r in records)
-        report = format_trace_report(records)
-        assert "build phases (wall-clock)" in report
-        assert "construction" in report
-
 
 class TestContactArraysNormalisation:
     """:class:`ContactArrays` must normalise exactly like ``ContactTrace``."""
@@ -371,93 +353,3 @@ class TestContactArraysNormalisation:
         for field in ("start", "end", "a", "b"):
             np.testing.assert_array_equal(getattr(whole, field),
                                           getattr(blocked, field))
-
-
-class TestBenchBuildFloor:
-    """The bench gate must enforce the build-throughput floor."""
-
-    def _report(self, **scale):
-        base = {
-            "speedup_ok": True, "rss_ok": True, "soa_speedup_1k": 10.0,
-            "speedup_floor": 5.0, "rss_ceiling_mb": 2048.0, "points": [],
-        }
-        base.update(scale)
-        return {"scale": base}
-
-    def test_build_floor_violation_fails(self, tmp_path):
-        from repro.experiments.bench import check_scale_regression
-
-        report = self._report(
-            build_ok=False, build_floor_contacts_per_sec=50_000.0,
-            build_floor_min_nodes=100_000,
-            points=[{"backend": "soa", "nodes": 250_000,
-                     "build_contacts_per_sec": 9_000.0,
-                     "events_per_sec": 1e6, "peak_rss_mb": 100.0}],
-        )
-        ok, message = check_scale_regression(report,
-                                             str(tmp_path / "missing.json"))
-        assert not ok
-        assert "build throughput" in message
-        assert "soa@250000" in message
-
-    def test_old_reports_skip_build_gate(self, tmp_path):
-        from repro.experiments.bench import check_scale_regression
-
-        ok, message = check_scale_regression(self._report(),
-                                             str(tmp_path / "missing.json"))
-        assert ok, message
-
-    def test_ok_message_mentions_build_floor(self, tmp_path):
-        from repro.experiments.bench import check_scale_regression
-
-        report = self._report(
-            build_ok=True, build_floor_contacts_per_sec=50_000.0,
-            build_floor_min_nodes=100_000, build_points_gated=2,
-        )
-        ok, message = check_scale_regression(report,
-                                             str(tmp_path / "missing.json"))
-        assert ok
-        assert "contacts/s" in message
-
-    def test_millisecond_runs_skip_throughput_compare(self, tmp_path):
-        # a 5 ms run phase makes events/sec timer noise; the gate must
-        # not compare it against the baseline
-        import json
-
-        from repro.experiments.bench import check_scale_regression
-
-        point = {"backend": "soa", "nodes": 1000, "run_s": 0.005,
-                 "events_per_sec": 1_000_000.0, "peak_rss_mb": 80.0}
-        baseline_point = dict(point, events_per_sec=4_000_000.0)
-        baseline = {"scale": {"points": [baseline_point]}}
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(baseline))
-        ok, message = check_scale_regression(self._report(points=[point]),
-                                             str(path))
-        assert ok, message
-        assert "0 point(s)" in message
-        # the same 4x drop on a long run must still fail
-        slow = dict(point, run_s=1.0)
-        slow_base = {"scale": {"points": [dict(baseline_point, run_s=1.0)]}}
-        path.write_text(json.dumps(slow_base))
-        ok, message = check_scale_regression(self._report(points=[slow]),
-                                             str(path))
-        assert not ok
-        assert "soa@1000" in message
-
-    def test_quick_points_are_subset_of_full(self):
-        from repro.experiments.bench import _scale_points
-
-        assert set(_scale_points(True)) <= set(_scale_points(False))
-        assert ("soa", 250_000) in _scale_points(True)
-        assert ("soa", 500_000) in _scale_points(False)
-
-
-class TestProfileCli:
-    def test_profile_scale_point(self, capsys):
-        from repro.cli import main
-
-        assert main(["profile", "--backend", "soa", "--nodes", "60",
-                     "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "nodes=60 backend=soa" in out
