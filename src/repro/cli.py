@@ -123,6 +123,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"error: {exp_id} incomplete: {exc}")
                 status = 1
                 continue
+            except ValueError as exc:
+                # a run the experiment cannot make (say, an executor
+                # without a feature --faults or --trace asks for)
+                print(f"error: {exp_id}: {exc}")
+                return 2
             print(result)
             if args.export:
                 from repro.analysis.export import export_result
@@ -300,6 +305,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         except SweepIncomplete as exc:
             print(f"error: {scenario.name} incomplete: {exc}")
             return 1
+        except ValueError as exc:
+            print(f"error: {scenario.name}: {exc}")
+            return 2
         for grid_point, results in zip(grid_points, merged):
             print(f"\n[{grid_point.index}] {grid_point.label}")
             for scheme in sweep_points[grid_point.index].schemes:
@@ -439,9 +447,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         fit_exponential,
         ks_distance,
     )
-    from repro.core.scheme import SCHEMES, build_simulation, scheme_variant
+    from repro.core.scheme import SCHEMES, scheme_variant
     from repro.experiments.config import HOUR, Settings
-    from repro.experiments.runner import choose_sources, make_catalog, make_trace
+    from repro.experiments.runner import RunSpec, make_trace, prepare, score
     from repro.theory import FreshnessModel, agreement_band, compare
 
     if args.scheme not in SCHEMES:
@@ -453,56 +461,30 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     config = SCHEMES[args.scheme]
     if args.max_relays is not None:
         config = scheme_variant(args.scheme, max_relays=args.max_relays)
-    trace = make_trace(settings, args.seed)
-    catalog = make_catalog(settings, choose_sources(trace, settings))
-    runtime = build_simulation(
-        trace,
-        catalog,
-        scheme=config,
-        num_caching_nodes=settings.num_caching_nodes,
-        seed=args.seed,
-        refresh_jitter=settings.refresh_jitter,
-    )
-    try:
-        model = FreshnessModel.from_runtime(
-            runtime, query_rate=settings.query_rate
-        )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    prediction = model.predict()
+    spec = RunSpec(settings, args.seed, config)
+    with prepare(spec) as runtime:
+        try:
+            model = FreshnessModel.from_runtime(
+                runtime, query_rate=settings.query_rate
+            )
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
+        prediction = model.predict()
+        if args.simulate:
+            runtime.run(until=settings.duration)
 
-    samples = aggregate_intercontact_samples(trace, normalise=True,
+    samples = aggregate_intercontact_samples(make_trace(settings, args.seed),
+                                             normalise=True,
                                              min_gaps_per_pair=3)
     ks = ks_distance(samples, fit_exponential(samples)) if len(samples) else 0.0
     tolerance = agreement_band(ks)
 
     measured = None
     if args.simulate:
-        from repro.analysis.metrics import freshness_summary, refresh_outcomes
-
-        runtime.install_freshness_probe(
-            interval=settings.probe_interval, until=settings.duration
-        )
-        runtime.run(until=settings.duration)
-        fresh = freshness_summary(
-            runtime,
-            t0=settings.warmup_fraction * settings.duration,
-            t1=settings.duration,
-        )
-        refresh = refresh_outcomes(
-            runtime.update_log,
-            runtime.history,
-            catalog,
-            runtime.caching_nodes,
-            horizon=settings.duration,
-            messages=runtime.refresh_overhead(),
-        )
-        measured = {
-            "freshness": fresh.freshness,
-            "validity": fresh.validity,
-            "on_time_ratio": refresh.on_time_ratio,
-        }
+        metrics = score(runtime, spec)
+        measured = {name: getattr(metrics, name)
+                    for name in ("freshness", "validity", "on_time_ratio")}
     report = compare(prediction, measured, tolerance=tolerance)
     title = (f"{args.scheme} on {settings.profile}, "
              f"R={settings.refresh_interval / HOUR:g}h, seed {args.seed}")

@@ -3,8 +3,8 @@
 Three handlers implement the data plane of cache refreshment:
 
 - :class:`SourceHandler` -- runs on each source node: generates new
-  versions of its items on a periodic (optionally jittered or Poisson)
-  schedule, records ground truth into the shared
+  versions of its items on a periodic (optionally jittered) schedule,
+  records ground truth into the shared
   :class:`~repro.caching.items.VersionHistory`, and kicks the
   distribution handler on the same node.
 - :class:`HdrRefreshHandler` -- the scheme (and the tree-structured
@@ -93,21 +93,17 @@ class SourceHandler(ProtocolHandler):
         items: list[DataItem],
         history: VersionHistory,
         stats: Optional[StatsRegistry] = None,
-        mode: str = "periodic",
         jitter: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if mode not in ("periodic", "poisson"):
-            raise ValueError(f"unknown refresh mode {mode!r}")
         if not 0.0 <= jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if (mode == "poisson" or jitter > 0) and rng is None:
-            raise ValueError("stochastic refresh schedules need an rng")
+        if jitter > 0 and rng is None:
+            raise ValueError("a jittered refresh schedule needs an rng")
         self.items = list(items)
         self.history = history
         self.stats = stats or StatsRegistry()
-        self.mode = mode
         self.jitter = jitter
         self.rng = rng
         self.current: dict[int, tuple[int, float]] = {}
@@ -137,8 +133,6 @@ class SourceHandler(ProtocolHandler):
             self.node.sim.schedule_at(now + self._gap(item), self._bump, item)
 
     def _gap(self, item: DataItem) -> float:
-        if self.mode == "poisson":
-            return float(self.rng.exponential(item.refresh_interval))
         if self.jitter > 0:
             span = self.jitter * item.refresh_interval
             return item.refresh_interval + float(self.rng.uniform(-span, span))

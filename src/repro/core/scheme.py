@@ -68,6 +68,12 @@ from repro.sim.node import Node
 from repro.sim.stats import StatsRegistry
 
 
+#: Centrality window of caching-node selection and placement: the
+#: horizon over which a node's expected number of distinct contacts is
+#: counted.
+CENTRALITY_WINDOW = 6 * 3600.0
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything that defines a refresh scheme variant."""
@@ -328,12 +334,8 @@ def build_simulation(
     rates: Optional[RateTable] = None,
     seed: int = 0,
     with_queries: bool = False,
-    query_hop_limit: int = 4,
-    query_ttl: float = 6 * 3600.0,
     link_model: Optional[LinkModel] = None,
-    centrality_window: float = 6 * 3600.0,
     record_transfers: bool = False,
-    refresh_mode: str = "periodic",
     refresh_jitter: float = 0.0,
     store_capacity: Optional[int] = None,
     eviction_policy: EvictionPolicy = EvictionPolicy.LRU,
@@ -374,32 +376,22 @@ def build_simulation(
     this per-node object graph; ``"soa"`` returns a
     :class:`~repro.core.soa.SoaRuntime` driving the same protocols over
     a vectorised struct-of-arrays contact schedule (metric-identical,
-    ~order-of-magnitude faster at scale, but without the query plane,
-    link models, tracing or the invalidate scheme).  The soa backend
-    also accepts a :class:`~repro.mobility.arrays.ContactArrays` trace
-    and then builds everything array-natively.
+    ~order-of-magnitude faster at scale, but without the features
+    :data:`repro.core.soa.UNSUPPORTED` lists).  The soa backend also
+    accepts a :class:`~repro.mobility.arrays.ContactArrays` trace and
+    then builds everything array-natively.
     """
     if backend == "soa":
-        from repro.core.soa import build_soa_simulation
+        from repro.core.soa import build_soa_simulation, check_soa_supports
 
-        unsupported = []
-        if with_queries:
-            unsupported.append("with_queries")
-        if link_model is not None:
-            unsupported.append("link_model")
-        if record_transfers:
-            unsupported.append("record_transfers")
-        if bus is not None:
-            unsupported.append("bus")
-        if placement is not None:
-            unsupported.append("placement")
-        if onpath is not None:
-            unsupported.append("onpath")
-        if unsupported:
-            raise ValueError(
-                f"the soa backend does not support {unsupported}; "
-                "use backend='object'"
-            )
+        check_soa_supports(
+            queries=with_queries,
+            link_model=link_model is not None,
+            record_transfers=record_transfers,
+            tracing=bus is not None,
+            placement=placement is not None,
+            onpath=onpath is not None,
+        )
         return build_soa_simulation(
             trace,
             catalog,
@@ -408,8 +400,6 @@ def build_simulation(
             caching_nodes=caching_nodes,
             rates=rates,
             seed=seed,
-            centrality_window=centrality_window,
-            refresh_mode=refresh_mode,
             refresh_jitter=refresh_jitter,
             store_capacity=store_capacity,
             eviction_policy=eviction_policy,
@@ -439,14 +429,14 @@ def build_simulation(
 
     if caching_nodes is None and placement is not None:
         caching_nodes = placement.select_nodes(
-            rates, num_caching_nodes, exclude=set(sources), window=centrality_window
+            rates, num_caching_nodes, exclude=set(sources), window=CENTRALITY_WINDOW
         )
     if caching_nodes is None:
         caching_nodes = select_caching_nodes(
             rates,
             num_caching_nodes,
             metric=ncl_metric,
-            window=centrality_window,
+            window=CENTRALITY_WINDOW,
             exclude=set(sources),
             rng=rng if ncl_metric == "random" else None,
         )
@@ -458,7 +448,7 @@ def build_simulation(
     assignment: Optional[dict[int, tuple[int, ...]]] = None
     if placement is not None:
         assignment = placement.assign(
-            catalog, caching_nodes, rates, window=centrality_window
+            catalog, caching_nodes, rates, window=CENTRALITY_WINDOW
         )
     if assignment is not None:
         stray = {
@@ -565,9 +555,8 @@ def build_simulation(
             items=catalog.items_of_source(source),
             history=history,
             stats=stats,
-            mode=refresh_mode,
             jitter=refresh_jitter,
-            rng=rng if (refresh_mode == "poisson" or refresh_jitter > 0) else None,
+            rng=rng if refresh_jitter > 0 else None,
         )
         nodes[source].add_handler(handler)
         source_handlers[source] = handler
@@ -596,13 +585,7 @@ def build_simulation(
                 onpath_stores[nid] = store
             if onpath is not None and store is not None:
                 attach_onpath(response_agent, store, onpath)
-            manager = QueryManager(
-                catalog=catalog,
-                store=store,
-                hop_limit=query_hop_limit,
-                query_ttl=query_ttl,
-                stats=stats,
-            )
+            manager = QueryManager(catalog=catalog, store=store, stats=stats)
             manager.trace = bus
             node.add_handler(manager)
             query_managers[nid] = manager

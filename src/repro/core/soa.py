@@ -30,10 +30,11 @@ version maps) mirrors :mod:`repro.core.refresh` operation-for-operation
 ``RunMetrics.same_as``-identical to the object backend on every
 supported scheme.  The cross-check lives in ``tests/test_soa.py``.
 
-Unsupported in this backend (build raises ``ValueError``): the
-``invalidate`` scheme, the query plane, fault injection, event tracing,
-custom link models and churn.  The object backend stays the default and
-fully featured path.
+What this backend cannot run is listed once, in :data:`UNSUPPORTED`
+(plus churn, which no run description can ask for); the build, sweep
+validation and the scenario registry all reject those features from
+that table.  The object backend stays the default and fully featured
+path.
 """
 
 from __future__ import annotations
@@ -62,6 +63,43 @@ from repro.sim.soa import KIND_START, ContactEventStream
 #: Python-side relevant-event lists stay cache friendly.  The equivalence
 #: tests shrink it to force many slab boundaries.
 SLAB_EVENTS = 65536
+
+#: Features the soa executor cannot run: the key callers pass to
+#: :func:`soa_unsupported` and the name errors report it under.
+#: ``build_simulation``, ``RunSpec.validate`` (and so sweep validation)
+#: and the scenario registry all read this one table.
+UNSUPPORTED = {
+    "queries": "the query plane",
+    "cycle": "query cycles",
+    "faults": "fault injection",
+    "tracing": "event tracing",
+    "placement": "placement policies",
+    "onpath": "on-path caching",
+    "link_model": "link models",
+    "record_transfers": "transfer recording",
+    "invalidate": "the invalidate scheme",
+}
+
+
+def soa_unsupported(**active: bool) -> list[str]:
+    """The :data:`UNSUPPORTED` keys switched on in ``active``, in table
+    order."""
+    unknown = sorted(set(active) - set(UNSUPPORTED))
+    if unknown:
+        raise TypeError(f"not a soa feature: {', '.join(unknown)}")
+    return [key for key in UNSUPPORTED if active.get(key)]
+
+
+def check_soa_supports(**active: bool) -> None:
+    """Raise ``ValueError`` naming every active feature the soa executor
+    cannot run."""
+    missing = soa_unsupported(**active)
+    if missing:
+        names = ", ".join(UNSUPPORTED[key] for key in missing)
+        raise ValueError(
+            f"the soa backend does not support {names}; use backend='object'"
+        )
+
 
 _PROBE = 0
 _BUMP = 1
@@ -125,7 +163,6 @@ class SoaRuntime:
         stats: MetricsRegistry,
         accountant: FreshnessAccountant,
         rng: np.random.Generator,
-        refresh_mode: str,
         refresh_jitter: float,
     ) -> None:
         self.config = config
@@ -144,7 +181,6 @@ class SoaRuntime:
         self.stats = stats
         self.accountant = accountant
         self.rng = rng
-        self.refresh_mode = refresh_mode
         self.refresh_jitter = refresh_jitter
         self.relay_budget = config.effective_relay_budget
         self.trace = None  # tracing is unsupported; kept for duck typing
@@ -364,8 +400,6 @@ class SoaRuntime:
                 )
 
     def _gap(self, item) -> float:
-        if self.refresh_mode == "poisson":
-            return float(self.rng.exponential(item.refresh_interval))
         if self.refresh_jitter > 0:
             span = self.refresh_jitter * item.refresh_interval
             return item.refresh_interval + float(self.rng.uniform(-span, span))
@@ -857,8 +891,6 @@ def build_soa_simulation(
     caching_nodes: Optional[list[int]] = None,
     rates: Optional[RateTable] = None,
     seed: int = 0,
-    centrality_window: float = 6 * 3600.0,
-    refresh_mode: str = "periodic",
     refresh_jitter: float = 0.0,
     store_capacity: Optional[int] = None,
     eviction_policy: EvictionPolicy = EvictionPolicy.LRU,
@@ -876,16 +908,15 @@ def build_soa_simulation(
     the rate estimation) is built array-natively without ever
     materialising ``Contact`` objects.
     """
-    from repro.core.scheme import SCHEMES, _build_structure, _plan_tree
+    from repro.core.scheme import (
+        CENTRALITY_WINDOW,
+        SCHEMES,
+        _build_structure,
+        _plan_tree,
+    )
 
     config = SCHEMES[scheme] if isinstance(scheme, str) else scheme
-    if config.structure == "invalidate":
-        raise ValueError(
-            "the soa backend does not support the invalidate scheme; "
-            "use backend='object'"
-        )
-    if refresh_mode not in ("periodic", "poisson"):
-        raise ValueError(f"unknown refresh mode {refresh_mode!r}")
+    check_soa_supports(invalidate=config.structure == "invalidate")
     if not 0.0 <= refresh_jitter < 1.0:
         raise ValueError("jitter must be in [0, 1)")
 
@@ -908,7 +939,7 @@ def build_soa_simulation(
             rates,
             num_caching_nodes,
             metric=ncl_metric,
-            window=centrality_window,
+            window=CENTRALITY_WINDOW,
             exclude=set(sources),
             rng=rng if ncl_metric == "random" else None,
         )
@@ -966,7 +997,6 @@ def build_soa_simulation(
         stats=stats,
         accountant=accountant,
         rng=rng,
-        refresh_mode=refresh_mode,
         refresh_jitter=refresh_jitter,
     )
 

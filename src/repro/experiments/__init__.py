@@ -20,9 +20,12 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import (
     ExperimentResult,
     RunMetrics,
+    RunSpec,
     make_trace,
+    prepare,
     run_once,
     run_replicated,
+    score,
 )
 from repro.experiments import (
     e1_traces,
@@ -71,14 +74,17 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "RunMetrics",
+    "RunSpec",
     "SeedArtifacts",
     "Settings",
     "SweepPoint",
     "make_trace",
+    "prepare",
     "resolve_jobs",
     "run_once",
     "run_replicated",
     "run_sweep",
     "run_tasks",
+    "score",
     "seed_artifacts",
 ]

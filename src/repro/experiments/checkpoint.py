@@ -99,10 +99,12 @@ def decode_result(value: Any) -> Any:
 
 
 def _job_label(spec: Any) -> Optional[str]:
-    """Human-readable job tag when the spec carries the usual fields."""
+    """Human-readable job tag when the spec carries the usual fields
+    (directly, or in the run description of a sweep job)."""
+    run = getattr(spec, "run", spec)
     parts = []
-    for attr in ("point", "seed", "scheme"):
-        value = getattr(spec, attr, None)
+    for attr, owner in (("point", spec), ("seed", run), ("scheme", run)):
+        value = getattr(owner, attr, None)
         if value is None:
             continue
         name = getattr(value, "name", value)

@@ -33,9 +33,6 @@ class Settings:
     zipf_exponent: float = 0.8
     probe_interval: float = 30 * 60.0
     warmup_fraction: float = 0.1  # probes before this are discarded
-    fanout: int = 3
-    max_depth: int = 3
-    max_relays: int = 5
     #: relative jitter on the refresh schedule: desynchronises the
     #: items' version bumps (and avoids probe aliasing artifacts)
     refresh_jitter: float = 0.25
@@ -81,7 +78,7 @@ class Settings:
         if not self.seeds:
             errors.append("seeds must be non-empty")
         for positive_int in ("num_caching_nodes", "num_items", "num_sources",
-                             "item_size", "fanout", "max_depth", "max_relays"):
+                             "item_size"):
             value = getattr(self, positive_int)
             if value < 1:
                 errors.append(f"{positive_int} must be >= 1, got {value}")
@@ -94,9 +91,9 @@ class Settings:
             value = getattr(self, non_negative)
             if value < 0:
                 errors.append(f"{non_negative} must be >= 0, got {value}")
-        if not 0.0 < self.freshness_requirement <= 1.0:
+        if not 0.0 < self.freshness_requirement < 1.0:
             errors.append(
-                "freshness_requirement must be in (0, 1], "
+                "freshness_requirement must be in (0, 1), "
                 f"got {self.freshness_requirement}"
             )
         if self.lifetime_factor <= 0:

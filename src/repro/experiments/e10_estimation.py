@@ -23,16 +23,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.aggregate import summarize
-from repro.analysis.metrics import freshness_summary, refresh_outcomes
 from repro.analysis.tables import format_table
-from repro.caching.items import DataCatalog
+from repro.caching.ncl import select_caching_nodes
 from repro.contacts.rates import RateTable, ewma_rates, mle_rates
-from repro.core.scheme import build_simulation
 from repro.experiments.artifacts import seed_artifacts
 from repro.experiments.config import Settings
-from repro.experiments.parallel import run_tasks
-from repro.experiments.runner import ExperimentResult, make_catalog
-from repro.mobility.trace import ContactTrace
+from repro.experiments.parallel import Job, run_tasks
+from repro.experiments.runner import ExperimentResult, RunSpec, score
 
 TITLE = "HDR vs quality of the distributed rate estimates"
 
@@ -62,41 +59,28 @@ def _estimate(name: str, trace, oracle: Optional[RateTable] = None) -> RateTable
 
 
 @dataclass(frozen=True)
-class _EstimatorJob:
+class _EstimatorJob(Job):
     """One (seed, estimator) HDR build-and-run, picklable."""
 
     estimator: str
-    seed: int
-    settings: Settings
-    trace: ContactTrace
-    oracle_rates: RateTable
-    catalog: DataCatalog
-    caching_nodes: tuple[int, ...]
 
 
 def _estimator_job(job: _EstimatorJob) -> tuple[float, float]:
     """Worker: run one estimator variant, return (freshness, on_time)."""
-    settings = job.settings
-    runtime = build_simulation(
-        job.trace, job.catalog, scheme="hdr",
-        caching_nodes=list(job.caching_nodes),
-        rates=_estimate(job.estimator, job.trace, oracle=job.oracle_rates),
-        seed=job.seed,
-        refresh_jitter=settings.refresh_jitter,
+    settings = job.run.settings
+    oracle = job.artifacts.rates
+    # Fix the caching set across estimators (selected from the oracle)
+    # so only hierarchy/provisioning quality varies.
+    caching_nodes = select_caching_nodes(
+        oracle,
+        settings.num_caching_nodes,
+        exclude=set(job.artifacts.sources(settings.num_sources)),
     )
-    runtime.install_freshness_probe(
-        interval=settings.probe_interval, until=settings.duration
-    )
-    runtime.run(until=settings.duration)
-    fresh = freshness_summary(
-        runtime, t0=settings.warmup_fraction * settings.duration
-    )
-    outcome = refresh_outcomes(
-        runtime.update_log, runtime.history, job.catalog,
-        runtime.caching_nodes, horizon=settings.duration,
-        messages=runtime.refresh_overhead(),
-    )
-    return fresh.freshness, outcome.on_time_ratio
+    rates = _estimate(job.estimator, job.artifacts.trace, oracle=oracle)
+    with job.prepare(caching_nodes=caching_nodes, rates=rates) as runtime:
+        runtime.run(until=settings.duration)
+    metrics = score(runtime, job.run)
+    return metrics.freshness, metrics.on_time_ratio
 
 
 def run(settings: Optional[Settings] = None,
@@ -106,27 +90,16 @@ def run(settings: Optional[Settings] = None,
     rows = []
     data: dict[str, dict[str, float]] = {}
     results: dict[str, list] = {name: [] for name in ESTIMATORS}
-    from repro.caching.ncl import select_caching_nodes
-
-    specs = []
-    for seed in settings.seeds:
-        artifacts = seed_artifacts(settings, seed)
-        catalog = make_catalog(settings, artifacts.sources(settings.num_sources))
-        # Fix the caching set across estimators (selected from the oracle)
-        # so only hierarchy/provisioning quality varies.
-        caching_nodes = select_caching_nodes(
-            artifacts.rates,
-            settings.num_caching_nodes,
-            exclude={item.source for item in catalog},
+    specs = [
+        _EstimatorJob(
+            point=point,
+            run=RunSpec(settings, seed, "hdr").resolved(point),
+            artifacts=seed_artifacts(settings, seed),
+            estimator=name,
         )
-        for name in ESTIMATORS:
-            specs.append(
-                _EstimatorJob(
-                    estimator=name, seed=seed, settings=settings,
-                    trace=artifacts.trace, oracle_rates=artifacts.rates,
-                    catalog=catalog, caching_nodes=tuple(caching_nodes),
-                )
-            )
+        for seed in settings.seeds
+        for point, name in enumerate(ESTIMATORS)
+    ]
     for spec, outcome in zip(specs, run_tasks(_estimator_job, specs, jobs=jobs)):
         results[spec.estimator].append(outcome)
     for name in ESTIMATORS:

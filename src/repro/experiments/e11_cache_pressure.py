@@ -20,65 +20,33 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.aggregate import summarize
-from repro.analysis.metrics import freshness_summary, judge_queries
 from repro.analysis.tables import format_table
-from repro.caching.items import DataCatalog
 from repro.caching.store import EvictionPolicy
-from repro.contacts.rates import RateTable
-from repro.core.scheme import build_simulation
 from repro.experiments.artifacts import seed_artifacts
 from repro.experiments.config import Settings
-from repro.experiments.parallel import run_tasks
-from repro.experiments.runner import ExperimentResult, make_catalog
-from repro.mobility.trace import ContactTrace
-from repro.workloads.popularity import ZipfPopularity
-from repro.workloads.queries import schedule_queries
-
-import numpy as np
+from repro.experiments.parallel import Job, run_tasks
+from repro.experiments.runner import ExperimentResult, RunSpec, score
 
 TITLE = "Cache pressure: bounded stores under refresh and Zipf queries"
 
 
 @dataclass(frozen=True)
-class _PressureJob:
+class _PressureJob(Job):
     """One (policy, capacity, seed) bounded-store run, picklable."""
 
     policy: EvictionPolicy
     capacity: int
-    seed: int
-    settings: Settings
-    trace: ContactTrace
-    rates: RateTable
-    catalog: DataCatalog
 
 
 def _pressure_job(job: _PressureJob) -> tuple[float, float, float]:
     """Worker: one bounded-store run, returns (freshness, answered,
     fresh-answer ratio)."""
-    settings = job.settings
-    runtime = build_simulation(
-        job.trace, job.catalog, scheme="hdr",
-        num_caching_nodes=settings.num_caching_nodes, rates=job.rates,
-        seed=job.seed, with_queries=True, store_capacity=job.capacity,
-        eviction_policy=job.policy,
-        refresh_jitter=settings.refresh_jitter,
-    )
-    runtime.install_freshness_probe(
-        interval=settings.probe_interval, until=settings.duration
-    )
-    schedule_queries(
-        runtime,
-        rate_per_node=settings.query_rate,
-        duration=settings.duration,
-        rng=np.random.default_rng(job.seed * 7919 + 17),
-        popularity=ZipfPopularity(job.catalog.item_ids, s=settings.zipf_exponent),
-    )
-    runtime.run(until=settings.duration)
-    fresh = freshness_summary(
-        runtime, t0=settings.warmup_fraction * settings.duration
-    )
-    outcomes = judge_queries(runtime.query_records(), runtime.history, job.catalog)
-    return fresh.freshness, outcomes.answer_ratio, outcomes.fresh_ratio
+    with job.prepare(store_capacity=job.capacity,
+                     eviction_policy=job.policy) as runtime:
+        runtime.run(until=job.run.settings.duration)
+    metrics = score(runtime, job.run)
+    return (metrics.freshness, metrics.query_answer_ratio,
+            metrics.query_fresh_ratio)
 
 
 def run(settings: Optional[Settings] = None,
@@ -87,19 +55,20 @@ def run(settings: Optional[Settings] = None,
     settings = settings or Settings()
     capacities = [settings.num_items, max(2, settings.num_items // 2), 2]
     capacities = sorted(set(capacities), reverse=True)
-    per_seed = {seed: seed_artifacts(settings, seed) for seed in settings.seeds}
-    catalogs = {
-        seed: make_catalog(settings, art.sources(settings.num_sources))
-        for seed, art in per_seed.items()
-    }
-    specs = [
-        _PressureJob(
-            policy=policy, capacity=capacity, seed=seed, settings=settings,
-            trace=per_seed[seed].trace, rates=per_seed[seed].rates,
-            catalog=catalogs[seed],
-        )
+    configs = [
+        (policy, capacity)
         for policy in (EvictionPolicy.LRU, EvictionPolicy.FIFO)
         for capacity in capacities
+    ]
+    specs = [
+        _PressureJob(
+            point=point,
+            run=RunSpec(settings, seed, "hdr", with_queries=True).resolved(point),
+            artifacts=seed_artifacts(settings, seed),
+            policy=policy,
+            capacity=capacity,
+        )
+        for point, (policy, capacity) in enumerate(configs)
         for seed in settings.seeds
     ]
     by_key: dict[tuple[EvictionPolicy, int], list[tuple[float, float, float]]] = {}

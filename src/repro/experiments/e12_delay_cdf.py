@@ -17,14 +17,8 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.tables import format_series, format_table
-from repro.core.scheme import build_simulation
 from repro.experiments.config import Settings
-from repro.experiments.runner import (
-    ExperimentResult,
-    choose_sources,
-    make_catalog,
-    make_trace,
-)
+from repro.experiments.runner import ExperimentResult, RunSpec, simulate
 
 TITLE = "Refresh delay CDF (fraction of opportunities updated within x)"
 
@@ -66,20 +60,13 @@ def run(settings: Optional[Settings] = None,
     """Run the experiment and return its formatted table + raw data."""
     settings = settings or Settings()
     seed = settings.seeds[0]
-    trace = make_trace(settings, seed)
-    catalog = make_catalog(settings, choose_sources(trace, settings))
     interval = settings.refresh_interval
 
     series: dict[str, list[float]] = {}
     coverage_rows = []
     data: dict[str, dict] = {}
     for scheme in SCHEMES:
-        runtime = build_simulation(
-            trace, catalog, scheme=scheme,
-            num_caching_nodes=settings.num_caching_nodes, seed=seed,
-            refresh_jitter=settings.refresh_jitter,
-        )
-        runtime.run(until=settings.duration)
+        runtime = simulate(RunSpec(settings, seed, scheme).resolved())
         delays, opportunities = _first_delays(runtime, settings.duration)
         sorted_delays = np.sort(delays) if delays else np.array([])
         cdf = []

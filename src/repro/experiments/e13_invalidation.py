@@ -21,73 +21,32 @@ nobody; this experiment is that argument, quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.analysis.aggregate import summarize
-from repro.analysis.metrics import freshness_summary, judge_queries
 from repro.analysis.tables import format_table
-from repro.caching.items import DataCatalog
-from repro.contacts.rates import RateTable
-from repro.core.scheme import build_simulation
 from repro.experiments.artifacts import seed_artifacts
 from repro.experiments.config import Settings
-from repro.experiments.parallel import run_tasks
-from repro.experiments.runner import ExperimentResult, make_catalog
-from repro.mobility.trace import ContactTrace
-from repro.workloads.popularity import ZipfPopularity
-from repro.workloads.queries import schedule_queries
+from repro.experiments.parallel import Job, run_tasks
+from repro.experiments.runner import ExperimentResult, RunSpec, score
 
 TITLE = "Refreshing (hdr) vs invalidation vs source-only"
 
 SCHEMES = ["hdr", "invalidate", "source"]
 
 
-@dataclass(frozen=True)
-class _ConsistencyJob:
-    """One (seed, scheme) consistency-model run, picklable."""
-
-    scheme: str
-    seed: int
-    settings: Settings
-    trace: ContactTrace
-    rates: RateTable
-    catalog: DataCatalog
-
-
-def _consistency_job(job: _ConsistencyJob) -> dict[str, float]:
+def _consistency_job(job: Job) -> dict[str, float]:
     """Worker: one run, returns every metric column of the E13 table."""
-    settings = job.settings
-    runtime = build_simulation(
-        job.trace, job.catalog, scheme=job.scheme,
-        num_caching_nodes=settings.num_caching_nodes, rates=job.rates,
-        seed=job.seed, with_queries=True, record_transfers=True,
-        refresh_jitter=settings.refresh_jitter,
-    )
-    runtime.install_freshness_probe(
-        interval=settings.probe_interval, until=settings.duration
-    )
-    schedule_queries(
-        runtime,
-        rate_per_node=settings.query_rate,
-        duration=settings.duration,
-        rng=np.random.default_rng(job.seed * 7919 + 17),
-        popularity=ZipfPopularity(job.catalog.item_ids, s=settings.zipf_exponent),
-    )
-    runtime.run(until=settings.duration)
-    fresh = freshness_summary(
-        runtime, t0=settings.warmup_fraction * settings.duration
-    )
-    outcomes = judge_queries(runtime.query_records(), runtime.history, job.catalog)
+    with job.prepare(record_transfers=True) as runtime:
+        runtime.run(until=job.run.settings.duration)
+    metrics = score(runtime, job.run)
     return {
-        "freshness": fresh.freshness,
-        "validity": fresh.validity,
-        "answered": outcomes.answer_ratio,
-        "fresh_answers": outcomes.fresh_ratio,
-        "valid_answers": outcomes.valid_ratio,
-        "messages": runtime.refresh_overhead(),
+        "freshness": metrics.freshness,
+        "validity": metrics.validity,
+        "answered": metrics.query_answer_ratio,
+        "fresh_answers": metrics.query_fresh_ratio,
+        "valid_answers": metrics.query_valid_ratio,
+        "messages": metrics.messages,
         "bytes": runtime.refresh_bytes(),
     }
 
@@ -104,22 +63,17 @@ def run(settings: Optional[Settings] = None,
                "bytes": []}
         for name in SCHEMES
     }
-    per_seed = {seed: seed_artifacts(settings, seed) for seed in settings.seeds}
-    catalogs = {
-        seed: make_catalog(settings, art.sources(settings.num_sources))
-        for seed, art in per_seed.items()
-    }
     specs = [
-        _ConsistencyJob(
-            scheme=name, seed=seed, settings=settings,
-            trace=per_seed[seed].trace, rates=per_seed[seed].rates,
-            catalog=catalogs[seed],
+        Job(
+            point=0,
+            run=RunSpec(settings, seed, name, with_queries=True).resolved(),
+            artifacts=seed_artifacts(settings, seed),
         )
         for seed in settings.seeds
         for name in SCHEMES
     ]
     for spec, outcome in zip(specs, run_tasks(_consistency_job, specs, jobs=jobs)):
-        bucket = collected[spec.scheme]
+        bucket = collected[spec.run.scheme]
         for key, value in outcome.items():
             bucket[key].append(value)
     for name in SCHEMES:

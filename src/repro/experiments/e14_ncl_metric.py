@@ -18,21 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.analysis.aggregate import summarize
-from repro.analysis.metrics import freshness_summary, judge_queries
 from repro.analysis.tables import format_table
-from repro.caching.items import DataCatalog
-from repro.contacts.rates import RateTable
-from repro.core.scheme import build_simulation
 from repro.experiments.artifacts import seed_artifacts
 from repro.experiments.config import Settings
-from repro.experiments.parallel import run_tasks
-from repro.experiments.runner import ExperimentResult, make_catalog
-from repro.mobility.trace import ContactTrace
-from repro.workloads.popularity import ZipfPopularity
-from repro.workloads.queries import schedule_queries
+from repro.experiments.parallel import Job, run_tasks
+from repro.experiments.runner import ExperimentResult, RunSpec, score
 
 TITLE = "Caching-node selection metric ablation (hdr)"
 
@@ -40,43 +31,20 @@ METRICS = ["contact", "degree", "betweenness", "random"]
 
 
 @dataclass(frozen=True)
-class _MetricJob:
+class _MetricJob(Job):
     """One (seed, ncl-metric) HDR run with queries, picklable."""
 
     metric: str
-    seed: int
-    settings: Settings
-    trace: ContactTrace
-    rates: RateTable
-    catalog: DataCatalog
 
 
 def _metric_job(job: _MetricJob) -> tuple[float, float, float]:
     """Worker: one metric-ablation run, returns (freshness, answered,
     fresh-answer ratio)."""
-    settings = job.settings
-    runtime = build_simulation(
-        job.trace, job.catalog, scheme="hdr",
-        num_caching_nodes=settings.num_caching_nodes, rates=job.rates,
-        seed=job.seed, with_queries=True, ncl_metric=job.metric,
-        refresh_jitter=settings.refresh_jitter,
-    )
-    runtime.install_freshness_probe(
-        interval=settings.probe_interval, until=settings.duration
-    )
-    schedule_queries(
-        runtime,
-        rate_per_node=settings.query_rate,
-        duration=settings.duration,
-        rng=np.random.default_rng(job.seed * 7919 + 17),
-        popularity=ZipfPopularity(job.catalog.item_ids, s=settings.zipf_exponent),
-    )
-    runtime.run(until=settings.duration)
-    fresh = freshness_summary(
-        runtime, t0=settings.warmup_fraction * settings.duration
-    )
-    outcomes = judge_queries(runtime.query_records(), runtime.history, job.catalog)
-    return fresh.freshness, outcomes.answer_ratio, outcomes.fresh_ratio
+    with job.prepare(ncl_metric=job.metric) as runtime:
+        runtime.run(until=job.run.settings.duration)
+    metrics = score(runtime, job.run)
+    return (metrics.freshness, metrics.query_answer_ratio,
+            metrics.query_fresh_ratio)
 
 
 def run(settings: Optional[Settings] = None,
@@ -89,19 +57,15 @@ def run(settings: Optional[Settings] = None,
         name: {"freshness": [], "answered": [], "fresh_answers": []}
         for name in METRICS
     }
-    per_seed = {seed: seed_artifacts(settings, seed) for seed in settings.seeds}
-    catalogs = {
-        seed: make_catalog(settings, art.sources(settings.num_sources))
-        for seed, art in per_seed.items()
-    }
     specs = [
         _MetricJob(
-            metric=metric, seed=seed, settings=settings,
-            trace=per_seed[seed].trace, rates=per_seed[seed].rates,
-            catalog=catalogs[seed],
+            point=point,
+            run=RunSpec(settings, seed, "hdr", with_queries=True).resolved(point),
+            artifacts=seed_artifacts(settings, seed),
+            metric=metric,
         )
         for seed in settings.seeds
-        for metric in METRICS
+        for point, metric in enumerate(METRICS)
     ]
     for spec, outcome in zip(specs, run_tasks(_metric_job, specs, jobs=jobs)):
         collected[spec.metric]["freshness"].append(outcome[0])

@@ -28,20 +28,20 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.aggregate import summarize
-from repro.analysis.metrics import freshness_summary, refresh_outcomes
 from repro.analysis.tables import format_table
 from repro.contacts.intercontact import (
     aggregate_intercontact_samples,
     fit_exponential,
     ks_distance,
 )
-from repro.core.scheme import build_simulation, scheme_variant
+from repro.core.scheme import scheme_variant
 from repro.experiments.config import HOUR, Settings
 from repro.experiments.runner import (
     ExperimentResult,
-    choose_sources,
-    make_catalog,
+    RunSpec,
     make_trace,
+    prepare,
+    score,
 )
 from repro.theory import BAND_FLOOR, BAND_SCALE, FreshnessModel, agreement_band
 
@@ -88,45 +88,14 @@ def run(settings: Optional[Settings] = None,
             predicted = {name: [] for name in METRICS}
             measured = {name: [] for name in METRICS}
             for seed in settings.seeds:
-                trace = make_trace(point_settings, seed)
-                catalog = make_catalog(
-                    point_settings, choose_sources(trace, point_settings)
-                )
-                runtime = build_simulation(
-                    trace,
-                    catalog,
-                    scheme=config,
-                    num_caching_nodes=point_settings.num_caching_nodes,
-                    seed=seed,
-                    refresh_jitter=point_settings.refresh_jitter,
-                )
-                prediction = FreshnessModel.from_runtime(runtime).predict()
-                horizon = point_settings.duration
-                runtime.install_freshness_probe(
-                    interval=point_settings.probe_interval, until=horizon
-                )
-                runtime.run(until=horizon)
-                fresh = freshness_summary(
-                    runtime,
-                    t0=point_settings.warmup_fraction * horizon,
-                    t1=horizon,
-                )
-                refresh = refresh_outcomes(
-                    runtime.update_log,
-                    runtime.history,
-                    catalog,
-                    runtime.caching_nodes,
-                    horizon=horizon,
-                    messages=runtime.refresh_overhead(),
-                )
-                observed = {
-                    "freshness": fresh.freshness,
-                    "validity": fresh.validity,
-                    "on_time_ratio": refresh.on_time_ratio,
-                }
+                spec = RunSpec(point_settings, seed, config).resolved(len(rows))
+                with prepare(spec) as runtime:
+                    prediction = FreshnessModel.from_runtime(runtime).predict()
+                    runtime.run(until=point_settings.duration)
+                observed = score(runtime, spec)
                 for name in METRICS:
                     predicted[name].append(prediction.summary()[name])
-                    measured[name].append(observed[name])
+                    measured[name].append(getattr(observed, name))
             row: dict = {
                 "interval_h": interval / HOUR,
                 "relays": relays,

@@ -17,8 +17,7 @@ import numpy as np
 from repro.analysis.tables import format_series
 from repro.baselines import COMPARISON_ORDER
 from repro.experiments.config import Settings
-from repro.experiments.runner import ExperimentResult, make_catalog, make_trace, choose_sources
-from repro.core.scheme import build_simulation
+from repro.experiments.runner import ExperimentResult, RunSpec, simulate
 
 TITLE = "Cache freshness ratio vs time (one realisation, all schemes)"
 
@@ -30,22 +29,11 @@ def run(settings: Optional[Settings] = None,
     """Run the experiment and return its formatted table + raw data."""
     settings = settings or Settings()
     seed = settings.seeds[0]
-    trace = make_trace(settings, seed)
-    catalog = make_catalog(settings, choose_sources(trace, settings))
     horizon = settings.duration
 
     raw_series: dict[str, tuple[list[float], list[float]]] = {}
     for scheme in COMPARISON_ORDER:
-        runtime = build_simulation(
-            trace,
-            catalog,
-            scheme=scheme,
-            num_caching_nodes=settings.num_caching_nodes,
-            seed=seed,
-            refresh_jitter=settings.refresh_jitter,
-        )
-        runtime.install_freshness_probe(interval=settings.probe_interval, until=horizon)
-        runtime.run(until=horizon)
+        runtime = simulate(RunSpec(settings, seed, scheme).resolved())
         series = runtime.stats.series("probe.freshness")
         raw_series[scheme] = (list(series.times), list(series.values))
 

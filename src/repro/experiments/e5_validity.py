@@ -27,15 +27,14 @@ from typing import Optional
 
 from repro.analysis.aggregate import summarize
 from repro.analysis.tables import format_series
-from repro.core.scheme import build_simulation, scheme_variant
+from repro.core.scheme import scheme_variant
 from repro.experiments.config import Settings
 from repro.experiments.parallel import SweepPoint, run_sweep
 from repro.experiments.runner import (
     ExperimentResult,
+    RunSpec,
     analytic_on_time,
-    choose_sources,
-    make_catalog,
-    make_trace,
+    prepare,
 )
 
 TITLE = "Achieved refresh ratio and access validity vs freshness requirement"
@@ -73,15 +72,9 @@ def run(settings: Optional[Settings] = None,
             query_fresh[name].append(
                 round(summarize([m.query_fresh_ratio for m in results[name]]).mean, 4)
             )
-        # Analytical plan quality from one representative build.
-        trace = make_trace(sweep_settings, sweep_settings.seeds[0])
-        catalog = make_catalog(sweep_settings, choose_sources(trace, sweep_settings))
-        runtime = build_simulation(
-            trace, catalog, scheme=hdr,
-            num_caching_nodes=sweep_settings.num_caching_nodes,
-            seed=sweep_settings.seeds[0],
-        )
-        planned.append(round(analytic_on_time(runtime), 4))
+        # Analytical plan quality from one representative build (not run).
+        with prepare(RunSpec(sweep_settings, sweep_settings.seeds[0], hdr)) as runtime:
+            planned.append(round(analytic_on_time(runtime), 4))
 
     on_time_series = {
         "requested": list(requirements),

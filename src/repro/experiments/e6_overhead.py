@@ -21,14 +21,12 @@ from repro.analysis.aggregate import summarize
 from repro.analysis.metrics import transmission_load
 from repro.analysis.tables import format_table
 from repro.baselines import COMPARISON_ORDER
-from repro.core.scheme import build_simulation
 from repro.experiments.config import Settings
 from repro.experiments.runner import (
     ExperimentResult,
-    choose_sources,
-    make_catalog,
-    make_trace,
+    RunSpec,
     run_replicated,
+    simulate,
 )
 
 TITLE = "Refresh overhead, load distribution, and achieved freshness"
@@ -36,15 +34,8 @@ TITLE = "Refresh overhead, load distribution, and achieved freshness"
 
 def _load_profile(settings: Settings, scheme: str) -> tuple[float, float]:
     """(source share of transmissions, gini) from one recorded run."""
-    trace = make_trace(settings, settings.seeds[0])
-    catalog = make_catalog(settings, choose_sources(trace, settings))
-    runtime = build_simulation(
-        trace, catalog, scheme=scheme,
-        num_caching_nodes=settings.num_caching_nodes,
-        seed=settings.seeds[0], record_transfers=True,
-        refresh_jitter=settings.refresh_jitter,
-    )
-    runtime.run(until=settings.duration)
+    spec = RunSpec(settings, settings.seeds[0], scheme).resolved()
+    runtime = simulate(spec, record_transfers=True)
     load = transmission_load(runtime)
     if load.total == 0:
         return float("nan"), float("nan")

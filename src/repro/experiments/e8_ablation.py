@@ -18,15 +18,14 @@ from typing import Optional
 
 from repro.analysis.aggregate import summarize
 from repro.analysis.tables import format_table
-from repro.core.scheme import build_simulation, scheme_variant
+from repro.core.scheme import scheme_variant
 from repro.experiments.config import Settings
 from repro.experiments.parallel import SweepPoint, run_sweep
 from repro.experiments.runner import (
     ExperimentResult,
+    RunSpec,
     analytic_on_time,
-    choose_sources,
-    make_catalog,
-    make_trace,
+    prepare,
 )
 
 TITLE = "Ablations: assignment, hierarchy, relay budget, depth budget"
@@ -101,14 +100,9 @@ def run(settings: Optional[Settings] = None,
     data_c = {}
     for budget, variant, results in zip(budgets, budget_variants, swept_c):
         runs = results[variant.name]
-        # Analytical prediction from one representative build.
-        trace = make_trace(settings, settings.seeds[0])
-        catalog = make_catalog(settings, choose_sources(trace, settings))
-        runtime = build_simulation(
-            trace, catalog, scheme=variant,
-            num_caching_nodes=settings.num_caching_nodes, seed=settings.seeds[0],
-        )
-        predicted = analytic_on_time(runtime)
+        # Analytical prediction from one representative build (not run).
+        with prepare(RunSpec(settings, settings.seeds[0], variant)) as runtime:
+            predicted = analytic_on_time(runtime)
         empirical = summarize([m.on_time_ratio for m in runs]).mean
         rows_c.append(
             {

@@ -23,17 +23,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.aggregate import summarize
-from repro.analysis.metrics import freshness_summary
 from repro.analysis.tables import format_table
-from repro.caching.items import DataCatalog
-from repro.contacts.rates import RateTable
 from repro.core.maintenance import ChurnProcess
-from repro.core.scheme import build_simulation
 from repro.experiments.artifacts import seed_artifacts
 from repro.experiments.config import HOUR, Settings
-from repro.experiments.parallel import run_tasks
-from repro.experiments.runner import ExperimentResult, make_catalog
-from repro.mobility.trace import ContactTrace
+from repro.experiments.parallel import Job, run_tasks
+from repro.experiments.runner import ExperimentResult, RunSpec, score
 
 TITLE = "Cache freshness under caching-node churn"
 
@@ -45,54 +40,39 @@ MEAN_DOWNTIME_FRACTION = 0.25  # downtime is a quarter of the uptime
 
 
 @dataclass(frozen=True)
-class _ChurnJob:
+class _ChurnJob(Job):
     """One (uptime, scheme, seed) churn simulation, picklable."""
 
-    scheme: str
-    seed: int
     uptime_h: float
-    settings: Settings
-    trace: ContactTrace
-    rates: RateTable
-    catalog: DataCatalog
 
 
 def _churn_job(job: _ChurnJob) -> tuple[float, int, int]:
     """Worker: run one churn simulation, return (freshness, departures,
     reattachments)."""
-    settings = job.settings
-    runtime = build_simulation(
-        job.trace, job.catalog, scheme=job.scheme,
-        num_caching_nodes=settings.num_caching_nodes, rates=job.rates,
-        seed=job.seed, refresh_jitter=settings.refresh_jitter,
-    )
-    runtime.install_freshness_probe(
-        interval=settings.probe_interval, until=settings.duration
-    )
-    churn = None
-    if math.isfinite(job.uptime_h):
-        churn = ChurnProcess(
-            runtime,
-            leave_rate=1.0 / (job.uptime_h * HOUR),
-            mean_downtime=MEAN_DOWNTIME_FRACTION * job.uptime_h * HOUR,
-            rng=np.random.default_rng(job.seed * 131 + 7),
-            until=settings.duration,
-            managers=(
-                None if runtime.config.structure in ("tree", "star") else {}
-            ),
-        )
-        churn.install()
-    runtime.run(until=settings.duration)
-    fresh = freshness_summary(
-        runtime, t0=settings.warmup_fraction * settings.duration
-    )
+    duration = job.run.settings.duration
+    with job.prepare() as runtime:
+        churn = None
+        if math.isfinite(job.uptime_h):
+            churn = ChurnProcess(
+                runtime,
+                leave_rate=1.0 / (job.uptime_h * HOUR),
+                mean_downtime=MEAN_DOWNTIME_FRACTION * job.uptime_h * HOUR,
+                rng=np.random.default_rng(job.run.seed * 131 + 7),
+                until=duration,
+                managers=(
+                    None if runtime.config.structure in ("tree", "star") else {}
+                ),
+            )
+            churn.install()
+        runtime.run(until=duration)
+    freshness = score(runtime, job.run).freshness
     departures = churn.num_departures if churn is not None else 0
     repairs = (
         sum(m.stats.reattachments for m in churn.managers.values())
         if churn is not None
         else 0
     )
-    return fresh.freshness, departures, repairs
+    return freshness, departures, repairs
 
 
 def run(settings: Optional[Settings] = None,
@@ -100,27 +80,21 @@ def run(settings: Optional[Settings] = None,
     """Run the experiment and return its formatted table + raw data."""
     settings = settings or Settings()
     uptimes = FAST_UPTIMES_H if settings.profile == "small" else UPTIMES_H
-    per_seed = {
-        seed: seed_artifacts(settings, seed) for seed in settings.seeds
-    }
-    catalogs = {
-        seed: make_catalog(settings, art.sources(settings.num_sources))
-        for seed, art in per_seed.items()
-    }
     specs = [
         _ChurnJob(
-            scheme=name, seed=seed, uptime_h=uptime_h, settings=settings,
-            trace=per_seed[seed].trace, rates=per_seed[seed].rates,
-            catalog=catalogs[seed],
+            point=point,
+            run=RunSpec(settings, seed, name).resolved(point),
+            artifacts=seed_artifacts(settings, seed),
+            uptime_h=uptime_h,
         )
-        for uptime_h in uptimes
+        for point, uptime_h in enumerate(uptimes)
         for name in SCHEMES
         for seed in settings.seeds
     ]
     outcomes = run_tasks(_churn_job, specs, jobs=jobs)
     by_key: dict[tuple[float, str], list[tuple[float, int, int]]] = {}
     for spec, outcome in zip(specs, outcomes):
-        by_key.setdefault((spec.uptime_h, spec.scheme), []).append(outcome)
+        by_key.setdefault((spec.uptime_h, spec.run.scheme), []).append(outcome)
 
     rows = []
     data: dict[str, dict] = {name: {} for name in SCHEMES}

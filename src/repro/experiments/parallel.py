@@ -8,9 +8,9 @@ output **byte-identical to serial execution**:
 
 * each job is a picklable spec executed by a module-level function, so
   a worker computes exactly what the serial loop would have computed;
-* job ids enumerate the serial iteration order, and results are merged
-  in job-id order (``ProcessPoolExecutor.map`` preserves input order),
-  so the merged structure is indistinguishable from the serial one;
+* jobs are listed in the serial iteration order, and results are merged
+  in that order (``ProcessPoolExecutor.map`` preserves input order), so
+  the merged structure is indistinguishable from the serial one;
 * all randomness is derived from seeds carried inside the specs --
   nothing depends on scheduling order or worker identity.
 
@@ -32,15 +32,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
+from repro.experiments import runner
 from repro.experiments.artifacts import SeedArtifacts, cache_put, seed_artifacts
+from repro.experiments.runner import RunMetrics, RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.caching.items import DataCatalog
     from repro.caching.onpath import OnPathConfig
     from repro.caching.placement import PlacementPolicy
     from repro.core.scheme import SchemeConfig
     from repro.experiments.config import Settings
-    from repro.experiments.runner import RunMetrics
     from repro.faults.plan import FaultPlan
     from repro.workloads.cycles import QueryCycle
 
@@ -126,38 +126,24 @@ def run_tasks(
 
 @dataclass(frozen=True)
 class Job:
-    """One picklable ``run_once`` invocation.
+    """One picklable run: its description plus its seed's artifacts.
 
-    ``job_id`` enumerates the serial iteration order; the merge sorts by
-    it, which is what makes parallel output identical to serial.
+    The artifacts ride along so no worker regenerates a trace;
+    :meth:`prepare` seeds the worker-local cache with them, so
+    :func:`~repro.experiments.runner.prepare` finds the trace and rates
+    there.  Experiments with their own worker subclass this and add the
+    one knob their sweep varies.
     """
 
-    job_id: int
     #: index of the sweep point this job belongs to (0 for flat runs)
     point: int
-    seed: int
-    scheme: "str | SchemeConfig"
-    settings: "Settings"
+    run: RunSpec
     artifacts: SeedArtifacts
-    catalog: "DataCatalog"
-    with_queries: bool = False
-    num_caching_nodes: Optional[int] = None
-    #: JSONL trace file for this job, allocated by the parent's
-    #: :class:`~repro.experiments.runner.TraceSink` (workers never see
-    #: the parent's sink -- the path travels inside the spec)
-    trace_path: Optional[str] = None
-    #: fault plan resolved by the parent (workers never see the parent's
-    #: :func:`~repro.experiments.runner.fault_injection` context -- like
-    #: the trace path, the plan travels inside the spec)
-    fault_plan: Optional["FaultPlan"] = None
-    #: execution engine for this job ("object" or "soa")
-    backend: str = "object"
-    #: optional placement policy restricting replication
-    placement: Optional["PlacementPolicy"] = None
-    #: optional LCE/LCD on-path caching of responses
-    onpath: Optional["OnPathConfig"] = None
-    #: optional inhomogeneous query cycle (diurnal / flash crowd)
-    cycle: Optional["QueryCycle"] = None
+
+    def prepare(self, **build):
+        """:func:`~repro.experiments.runner.prepare` this job's run."""
+        cache_put(self.artifacts)
+        return runner.prepare(self.run, **build)
 
 
 @dataclass(frozen=True)
@@ -171,8 +157,8 @@ class SweepPoint:
     #: per-point fault plan; ``None`` falls back to the ambient
     #: :func:`~repro.experiments.runner.fault_injection` context
     fault_plan: Optional["FaultPlan"] = None
-    #: execution engine ("object" or "soa"; soa has no query plane,
-    #: faults, placement or on-path caching)
+    #: execution engine ("object" or "soa"; see
+    #: :data:`repro.core.soa.UNSUPPORTED` for what soa cannot run)
     backend: str = "object"
     #: optional placement policy restricting replication
     placement: Optional["PlacementPolicy"] = None
@@ -181,30 +167,27 @@ class SweepPoint:
     #: optional inhomogeneous query cycle (requires ``with_queries``)
     cycle: Optional["QueryCycle"] = None
 
+    def spec(self, seed: int, scheme: "str | SchemeConfig") -> RunSpec:
+        """The (unresolved) description of one run at this point."""
+        return RunSpec(
+            settings=self.settings,
+            seed=seed,
+            scheme=scheme,
+            with_queries=self.with_queries,
+            cycle=self.cycle,
+            fault_plan=self.fault_plan,
+            placement=self.placement,
+            onpath=self.onpath,
+            backend=self.backend,
+            num_caching_nodes=self.num_caching_nodes,
+        )
 
-def execute_job(job: Job) -> "RunMetrics":
+
+def execute_job(job: Job) -> RunMetrics:
     """Run one job (in a worker or inline) and return its metrics."""
-    from repro.experiments.runner import run_once
-
-    # Seed the worker-local artifact cache so anything downstream that
-    # asks for this seed's artifacts reuses the shipped copy.
-    cache_put(job.artifacts)
-    return run_once(
-        job.artifacts.trace,
-        job.scheme,
-        job.settings,
-        seed=job.seed,
-        with_queries=job.with_queries,
-        catalog=job.catalog,
-        num_caching_nodes=job.num_caching_nodes,
-        rates=job.artifacts.rates,
-        trace_path=job.trace_path,
-        fault_plan=job.fault_plan,
-        backend=job.backend,
-        placement=job.placement,
-        onpath=job.onpath,
-        cycle=job.cycle,
-    )
+    with job.prepare() as runtime:
+        runtime.run(until=job.run.settings.duration)
+    return runner.score(runtime, job.run)
 
 
 def validate_points(points: Sequence[SweepPoint]) -> None:
@@ -213,63 +196,17 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
     Runs in the parent **before** any worker spawns or artifact builds:
     a typo'd scheme name or a negative rate fails in milliseconds with a
     clear message instead of as N identical tracebacks out of a pool.
+    Each run is checked by :meth:`~repro.experiments.runner.RunSpec.validate`.
     """
-    from repro.core.scheme import SCHEMES
-
     for point_index, point in enumerate(points):
-        where = f"sweep point {point_index}"
         try:
             point.settings.validate()
+            if not point.schemes:
+                raise ValueError("no schemes to run")
+            for scheme in point.schemes:
+                point.spec(point.settings.seeds[0], scheme).validate()
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if not point.schemes:
-            raise ValueError(f"{where}: no schemes to run")
-        for scheme in point.schemes:
-            if isinstance(scheme, str) and scheme not in SCHEMES:
-                known = ", ".join(sorted(SCHEMES))
-                raise ValueError(
-                    f"{where}: unknown scheme {scheme!r} (known: {known})"
-                )
-        if (point.num_caching_nodes is not None
-                and point.num_caching_nodes < 1):
-            raise ValueError(
-                f"{where}: num_caching_nodes must be >= 1, "
-                f"got {point.num_caching_nodes}"
-            )
-        if point.fault_plan is not None:
-            try:
-                point.fault_plan.validate()
-            except ValueError as exc:
-                raise ValueError(f"{where}: invalid fault plan: {exc}") from None
-        if point.backend not in ("object", "soa"):
-            raise ValueError(
-                f"{where}: unknown backend {point.backend!r} (object|soa)"
-            )
-        if point.backend == "soa":
-            unsupported = [
-                name
-                for name, active in (
-                    ("with_queries", point.with_queries),
-                    ("fault_plan", point.fault_plan is not None),
-                    ("placement", point.placement is not None),
-                    ("onpath", point.onpath is not None),
-                    ("cycle", point.cycle is not None),
-                )
-                if active
-            ]
-            if unsupported:
-                raise ValueError(
-                    f"{where}: the soa backend does not support "
-                    f"{', '.join(unsupported)}"
-                )
-        if point.onpath is not None and not point.with_queries:
-            raise ValueError(
-                f"{where}: onpath caching requires with_queries=true"
-            )
-        if point.cycle is not None and not point.with_queries:
-            raise ValueError(
-                f"{where}: a query cycle requires with_queries=true"
-            )
+            raise ValueError(f"sweep point {point_index}: {exc}") from None
 
 
 def build_jobs(points: Sequence[SweepPoint]) -> list[Job]:
@@ -277,60 +214,27 @@ def build_jobs(points: Sequence[SweepPoint]) -> list[Job]:
 
     Order is (point, seed, scheme) -- exactly the nesting of the serial
     loops in ``run_replicated`` and the per-experiment sweeps.  The
-    whole sweep is validated eagerly first (:func:`validate_points`).
+    whole sweep is validated eagerly first (:func:`validate_points`),
+    then each run resolves the ambient fault plan and trace sink here,
+    in the parent: neither survives pickling into a worker.
     """
-    from repro.experiments import runner as runner_mod
-    from repro.experiments.runner import make_catalog
-
     validate_points(points)
-    # Allocate per-job trace files in the parent: the sink is a plain
-    # module global and does not survive pickling into workers.  The
-    # ambient fault plan resolves here for the same reason.
-    sink = runner_mod._TRACE_SINK
-    ambient_plan = runner_mod._FAULT_PLAN
-    jobs: list[Job] = []
-    job_id = 0
-    for point_index, point in enumerate(points):
-        settings = point.settings
-        fault_plan = (
-            point.fault_plan if point.fault_plan is not None else ambient_plan
+    return [
+        Job(
+            point=point_index,
+            run=point.spec(seed, scheme).resolved(point_index),
+            artifacts=seed_artifacts(point.settings, seed),
         )
-        for seed in settings.seeds:
-            artifacts = seed_artifacts(settings, seed)
-            catalog = make_catalog(settings, artifacts.sources(settings.num_sources))
-            for scheme in point.schemes:
-                trace_path = (
-                    str(sink.allocate(point_index, seed, scheme))
-                    if sink is not None
-                    else None
-                )
-                jobs.append(
-                    Job(
-                        job_id=job_id,
-                        point=point_index,
-                        seed=seed,
-                        scheme=scheme,
-                        settings=settings,
-                        artifacts=artifacts,
-                        catalog=catalog,
-                        with_queries=point.with_queries,
-                        num_caching_nodes=point.num_caching_nodes,
-                        trace_path=trace_path,
-                        fault_plan=fault_plan,
-                        backend=point.backend,
-                        placement=point.placement,
-                        onpath=point.onpath,
-                        cycle=point.cycle,
-                    )
-                )
-                job_id += 1
-    return jobs
+        for point_index, point in enumerate(points)
+        for seed in point.settings.seeds
+        for scheme in point.schemes
+    ]
 
 
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: Optional[int] = None,
-) -> list[dict[str, list["RunMetrics"]]]:
+) -> list[dict[str, list[RunMetrics]]]:
     """Run every (point, seed, scheme) job; one result dict per point.
 
     Each dict maps scheme name to the per-seed :class:`RunMetrics` list,
@@ -341,9 +245,9 @@ def run_sweep(
     """
     specs = build_jobs(points)
     metrics = run_tasks(execute_job, specs, jobs=jobs)
-    merged: list[dict[str, list["RunMetrics"]]] = [{} for _ in points]
-    for spec, result in zip(specs, metrics):
+    merged: list[dict[str, list[RunMetrics]]] = [{} for _ in points]
+    for job, result in zip(specs, metrics):
         if result is None:
             continue
-        merged[spec.point].setdefault(result.scheme, []).append(result)
+        merged[job.point].setdefault(result.scheme, []).append(result)
     return merged

@@ -1,18 +1,25 @@
 """Shared machinery for running scheme-comparison experiments.
 
-``run_once`` wires and runs one (trace, scheme) simulation and collects
-every metric the tables need into a :class:`RunMetrics`.
-``run_replicated`` repeats that across seeds -- each seed generates its
+A run is described by one frozen :class:`RunSpec` (settings, seed,
+scheme, query workload, fault plan, placement, on-path caching,
+backend, caching-node count, trace path).  :func:`prepare` is the only
+code that wires a run -- build, faults, freshness probe, queries, the
+message-trace hook -- and :func:`score` the only code that scores one
+into a :class:`RunMetrics`.  ``run_once``, the sweep jobs, every
+experiment module, ``repro predict`` and the live service go through
+the pair, so the ambient :func:`fault_injection` plan and
+:func:`trace_output` sink reach every run.
+
+``run_replicated`` repeats a run across seeds -- each seed generates its
 own trace realisation, and all schemes of a seed share that trace and
 the same pre-scheduled query workload, the paper-style paired
-comparison.
-
-Replication fans out through :mod:`repro.experiments.parallel`: pass
-``jobs`` (or set ``REPRO_JOBS``) to run the independent (seed, scheme)
-simulations on a process pool; ``jobs=1`` is the serial fallback and
-parallel output is identical to it.  The per-seed trace, MLE rates and
-centrality ranking are computed once per seed and shared across all
-schemes via :mod:`repro.experiments.artifacts`.
+comparison.  Replication fans out through
+:mod:`repro.experiments.parallel`: pass ``jobs`` (or set
+``REPRO_JOBS``) to run the independent (seed, scheme) simulations on a
+process pool; ``jobs=1`` is the serial fallback and parallel output is
+identical to it.  The per-seed trace, MLE rates and centrality ranking
+are computed once per seed and shared across all schemes via
+:mod:`repro.experiments.artifacts`.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +39,8 @@ from repro.analysis.metrics import freshness_summary, judge_queries, refresh_out
 from repro.caching.items import DataCatalog
 from repro.contacts.centrality import contact_centrality, rank_nodes
 from repro.contacts.rates import RateTable, mle_rates
-from repro.core.scheme import SchemeConfig, build_simulation
+from repro.core.scheme import SCHEMES, SchemeConfig, build_simulation
+from repro.core.soa import check_soa_supports
 from repro.experiments.artifacts import (
     SOURCE_RANKING_WINDOW,
     artifacts_for_trace,
@@ -41,6 +49,7 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.config import Settings
 from repro.mobility.trace import ContactTrace
+from repro.sim.messages import set_message_trace
 from repro.workloads.cycles import QueryCycle, schedule_cycle_queries
 from repro.workloads.popularity import ZipfPopularity
 from repro.workloads.queries import schedule_queries
@@ -48,6 +57,8 @@ from repro.workloads.queries import schedule_queries
 if TYPE_CHECKING:  # pragma: no cover
     from repro.caching.onpath import OnPathConfig
     from repro.caching.placement import PlacementPolicy
+    from repro.core.scheme import SchemeRuntime
+    from repro.faults.plan import FaultPlan
 
 
 @dataclass
@@ -205,38 +216,45 @@ class TraceSink:
         return self.path.parent / file_name
 
     def finalize(self) -> Optional[Path]:
-        """Rename a lone trace to the requested path, or write the manifest."""
+        """Rename a lone trace to the requested path, or write the manifest.
+
+        Only files that were written count: a run that failed, or was
+        never started because a later run of its sweep was invalid,
+        leaves its allocation unused.
+        """
         from repro.obs.export import write_manifest
 
+        self.entries = [
+            entry for entry in self.entries
+            if (self.path.parent / entry["path"]).exists()
+        ]
         if not self.entries:
             return None
         if len(self.entries) == 1:
             only = self.path.parent / self.entries[0]["path"]
-            if only.exists() and only != self.path:
+            if only != self.path:
                 os.replace(only, self.path)
             self.output = self.path
             return self.output
         for entry in self.entries:
-            file_path = self.path.parent / entry["path"]
-            if file_path.exists():
-                with open(file_path, "r", encoding="utf-8") as handle:
-                    entry["records"] = sum(1 for line in handle if line.strip())
+            with open(self.path.parent / entry["path"], "r",
+                      encoding="utf-8") as handle:
+                entry["records"] = sum(1 for line in handle if line.strip())
         manifest = self.path.with_name(f"{self.path.stem}.manifest.json")
         write_manifest(manifest, self.entries)
         self.output = manifest
         return self.output
 
 
-#: The active sink, set by :func:`trace_output`.  ``run_once`` (serial)
-#: and ``build_jobs`` (parallel) allocate their per-job trace files from
-#: it, which is how ``--trace`` reaches every experiment without
-#: threading a parameter through each experiment's signature.
+#: The active sink, set by :func:`trace_output`.  :meth:`RunSpec.resolved`
+#: allocates each run's trace file from it, in the parent process, which
+#: is how ``--trace`` reaches every experiment without threading a
+#: parameter through each experiment's signature.
 _TRACE_SINK: Optional[TraceSink] = None
 
-#: The active fault plan, set by :func:`fault_injection`.  Resolved by
-#: ``run_once`` (serial) and ``build_jobs`` (parallel jobs carry the
-#: resolved plan in their spec) -- the same pattern as ``_TRACE_SINK``,
-#: and how ``--faults plan.toml`` reaches every experiment.
+#: The active fault plan, set by :func:`fault_injection` and applied by
+#: :meth:`RunSpec.resolved` -- the same pattern as ``_TRACE_SINK``, and
+#: how ``--faults plan.toml`` reaches every experiment.
 _FAULT_PLAN = None
 
 
@@ -283,6 +301,227 @@ def trace_output(path: str | Path):
         sink.finalize()
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One simulation run, fully described.
+
+    Everything :func:`prepare` wires and :func:`score` scores comes from
+    here.  ``fault_plan`` and ``trace_path`` are explicit; the ambient
+    :func:`fault_injection` plan and :func:`trace_output` sink fill them
+    in through :meth:`resolved`, once, in the parent process, so a spec
+    shipped to a worker carries everything the run needs.
+    """
+
+    settings: Settings
+    seed: int
+    scheme: "str | SchemeConfig"
+    with_queries: bool = False
+    #: inhomogeneous query process (diurnal / flash crowd); needs queries
+    cycle: Optional[QueryCycle] = None
+    fault_plan: "Optional[FaultPlan]" = None
+    placement: "Optional[PlacementPolicy]" = None
+    #: LCE/LCD on-path caching of responses; needs queries
+    onpath: "Optional[OnPathConfig]" = None
+    #: execution engine, "object" or "soa"
+    backend: str = "object"
+    #: overrides ``settings.num_caching_nodes``
+    num_caching_nodes: Optional[int] = None
+    #: JSONL file the run's full event trace is written to
+    trace_path: "Optional[str | Path]" = None
+
+    def validate(self) -> "RunSpec":
+        """Raise ``ValueError`` if no executor can run this spec.
+
+        Returns ``self`` so call sites can chain.
+        """
+        if isinstance(self.scheme, str) and self.scheme not in SCHEMES:
+            known = ", ".join(sorted(SCHEMES))
+            raise ValueError(f"unknown scheme {self.scheme!r} (known: {known})")
+        if self.num_caching_nodes is not None and self.num_caching_nodes < 1:
+            raise ValueError(
+                f"num_caching_nodes must be >= 1, got {self.num_caching_nodes}"
+            )
+        if self.fault_plan is not None:
+            try:
+                self.fault_plan.validate()
+            except ValueError as exc:
+                raise ValueError(f"invalid fault plan: {exc}") from None
+        if self.backend not in ("object", "soa"):
+            raise ValueError(f"unknown backend {self.backend!r} (object|soa)")
+        if self.backend == "soa":
+            config = (SCHEMES[self.scheme] if isinstance(self.scheme, str)
+                      else self.scheme)
+            check_soa_supports(
+                queries=self.with_queries,
+                cycle=self.cycle is not None,
+                faults=self.fault_plan is not None,
+                tracing=self.trace_path is not None,
+                placement=self.placement is not None,
+                onpath=self.onpath is not None,
+                invalidate=config.structure == "invalidate",
+            )
+        if self.onpath is not None and not self.with_queries:
+            raise ValueError("onpath caching requires with_queries=true")
+        if self.cycle is not None and not self.with_queries:
+            raise ValueError("a query cycle requires with_queries=true")
+        return self
+
+    def resolved(self, point: int = 0) -> "RunSpec":
+        """This spec with the ambient fault plan and trace sink applied,
+        validated.
+
+        An explicit ``fault_plan`` or ``trace_path`` wins.  The trace
+        file is allocated from the active sink, named after ``point``.
+        """
+        spec = self
+        if spec.fault_plan is None and _FAULT_PLAN is not None:
+            spec = replace(spec, fault_plan=_FAULT_PLAN)
+        if spec.trace_path is None and _TRACE_SINK is not None:
+            path = _TRACE_SINK.allocate(point, spec.seed, spec.scheme)
+            spec = replace(spec, trace_path=str(path))
+        return spec.validate()
+
+
+@contextmanager
+def prepare(
+    spec: RunSpec,
+    trace: "Optional[ContactTrace]" = None,
+    catalog: Optional[DataCatalog] = None,
+    **build,
+) -> Iterator["SchemeRuntime"]:
+    """Wire the run ``spec`` describes and yield its runtime, not yet run.
+
+    The only wiring code: it builds the simulation, installs the fault
+    plan and the freshness probe, and schedules the query workload.
+    ``trace`` and ``catalog`` default to the seed's cached artifacts (its
+    trace and MLE rates) and the catalog :func:`make_catalog` derives;
+    ``build`` passes extra :func:`build_simulation` arguments through
+    (``rates``, ``caching_nodes``, ``record_transfers``,
+    ``store_capacity``, ``eviction_policy``, ``ncl_metric``).
+
+    With a ``trace_path``, the ``msg.create`` hook (process-global,
+    because Message construction sites are spread across every
+    protocol) is scoped to the with-block, and the run's event trace is
+    written when the block exits cleanly.  Tracing is passive: the run's
+    metrics are identical to an untraced one's.
+    """
+    spec.validate()
+    settings = spec.settings
+    if trace is None:
+        artifacts = seed_artifacts(settings, spec.seed)
+        trace = artifacts.trace
+        if build.get("rates") is None:
+            build["rates"] = artifacts.rates
+    if catalog is None:
+        catalog = make_catalog(settings, choose_sources(trace, settings))
+    bus = None
+    if spec.trace_path is not None:
+        from repro.obs.bus import EventBus
+
+        bus = EventBus()
+        set_message_trace(bus)
+    try:
+        runtime = build_simulation(
+            trace,
+            catalog,
+            scheme=spec.scheme,
+            num_caching_nodes=spec.num_caching_nodes or settings.num_caching_nodes,
+            seed=spec.seed,
+            with_queries=spec.with_queries,
+            refresh_jitter=settings.refresh_jitter,
+            bus=bus,
+            backend=spec.backend,
+            placement=spec.placement,
+            onpath=spec.onpath,
+            **build,
+        )
+        horizon = settings.duration
+        if spec.fault_plan is not None:
+            from repro.faults.injectors import install_faults
+
+            install_faults(runtime, spec.fault_plan, seed=spec.seed, until=horizon)
+        runtime.install_freshness_probe(interval=settings.probe_interval, until=horizon)
+        if spec.with_queries:
+            popularity = ZipfPopularity(catalog.item_ids, s=settings.zipf_exponent)
+            rng = np.random.default_rng(spec.seed * 7919 + 17)
+            if spec.cycle is not None:
+                schedule_cycle_queries(
+                    runtime,
+                    rate_per_node=settings.query_rate,
+                    duration=horizon,
+                    rng=rng,
+                    cycle=spec.cycle,
+                    popularity=popularity,
+                )
+            else:
+                schedule_queries(
+                    runtime,
+                    rate_per_node=settings.query_rate,
+                    duration=horizon,
+                    rng=rng,
+                    popularity=popularity,
+                )
+        yield runtime
+    finally:
+        if bus is not None:
+            set_message_trace(None)
+    if bus is not None:
+        from repro.obs.export import write_jsonl
+
+        write_jsonl(bus.records, spec.trace_path)
+
+
+def simulate(spec: RunSpec, trace=None, catalog=None, **build) -> "SchemeRuntime":
+    """:func:`prepare` the run and run it to the horizon."""
+    with prepare(spec, trace, catalog, **build) as runtime:
+        runtime.run(until=spec.settings.duration)
+    return runtime
+
+
+def score(runtime: "SchemeRuntime", spec: RunSpec) -> RunMetrics:
+    """Score a finished run: the only scoring code.
+
+    Freshness and validity average the probe series over the horizon
+    after the warm-up fraction; refresh outcomes come from the update
+    log; query outcomes, when the spec scheduled queries, judge every
+    answer against the version history.
+    """
+    settings = spec.settings
+    horizon = settings.duration
+    fresh = freshness_summary(
+        runtime, t0=settings.warmup_fraction * horizon, t1=horizon
+    )
+    refresh = refresh_outcomes(
+        runtime.update_log,
+        runtime.history,
+        runtime.catalog,
+        runtime.caching_nodes,
+        horizon=horizon,
+        messages=runtime.refresh_overhead(),
+    )
+    metrics = RunMetrics(
+        scheme=runtime.config.name,
+        seed=spec.seed,
+        freshness=fresh.freshness,
+        validity=fresh.validity,
+        messages=refresh.messages,
+        messages_per_update=refresh.messages_per_update,
+        on_time_ratio=refresh.on_time_ratio,
+        refresh_delay=refresh.mean_delay,
+    )
+    if spec.with_queries:
+        outcomes = judge_queries(
+            runtime.query_records(), runtime.history, runtime.catalog
+        )
+        metrics.queries_issued = outcomes.issued
+        metrics.query_answer_ratio = outcomes.answer_ratio
+        metrics.query_fresh_ratio = outcomes.fresh_ratio
+        metrics.query_valid_ratio = outcomes.valid_ratio
+        metrics.query_validity_e2e = outcomes.end_to_end_validity
+        metrics.query_delay = outcomes.mean_delay
+    return metrics
+
+
 def run_once(
     trace: ContactTrace,
     scheme: str | SchemeConfig,
@@ -299,148 +538,28 @@ def run_once(
     onpath: "Optional[OnPathConfig]" = None,
     cycle: Optional[QueryCycle] = None,
 ) -> RunMetrics:
-    """Wire, run and score one simulation.
+    """Wire, run and score one simulation over ``trace``.
 
-    ``rates`` short-circuits the whole-trace MLE estimation inside
+    The keyword arguments are the :class:`RunSpec` fields; the ambient
+    fault plan and trace sink apply unless given explicitly.  ``rates``
+    short-circuits the whole-trace MLE estimation inside
     :func:`build_simulation`; pass the cached per-seed estimate when the
     same trace is run under several schemes.
-
-    ``trace_path`` writes the run's full event trace (JSONL) there; when
-    omitted but a :func:`trace_output` sink is active, a per-job file is
-    allocated from the sink.  Tracing is passive -- the returned metrics
-    are identical to an untraced run's.
-
-    ``fault_plan`` installs a :class:`~repro.faults.plan.FaultPlan`
-    before the run (falling back to an active :func:`fault_injection`
-    context); ``None``/null plans install nothing and leave the run
-    bit-identical.
-
-    ``backend="soa"`` runs the vectorised struct-of-arrays engine --
-    metric-identical to the object graph but without queries, tracing
-    or fault injection (those raise).
-
-    ``placement`` restricts replication via a
-    :class:`~repro.caching.placement.PlacementPolicy`; ``onpath``
-    enables LCE/LCD response caching; ``cycle`` replaces the flat
-    Poisson query process with an inhomogeneous one (diurnal and/or
-    flash-crowd).  All three default off and leave default runs
-    bit-identical; ``onpath`` and ``cycle`` require
-    ``with_queries=True``.
     """
-    if cycle is not None and not with_queries:
-        raise ValueError("a query cycle requires with_queries=True")
-    if catalog is None:
-        catalog = make_catalog(settings, choose_sources(trace, settings))
-    if trace_path is None and _TRACE_SINK is not None:
-        trace_path = _TRACE_SINK.allocate(0, seed, scheme)
-    if fault_plan is None:
-        fault_plan = _FAULT_PLAN
-    if backend == "soa":
-        unsupported = []
-        if with_queries:
-            unsupported.append("queries")
-        if trace_path is not None:
-            unsupported.append("tracing")
-        if fault_plan is not None:
-            unsupported.append("fault injection")
-        if placement is not None:
-            unsupported.append("placement")
-        if onpath is not None:
-            unsupported.append("onpath caching")
-        if unsupported:
-            raise ValueError(
-                f"the soa backend does not support {', '.join(unsupported)}; "
-                "use backend='object'"
-            )
-    bus = None
-    if trace_path is not None:
-        from repro.obs.bus import EventBus
-        from repro.sim.messages import set_message_trace
-
-        bus = EventBus()
-        # The msg.create hook is process-global (Message construction
-        # sites are spread across every protocol); scope it to this run.
-        set_message_trace(bus)
-    try:
-        runtime = build_simulation(
-            trace,
-            catalog,
-            scheme=scheme,
-            num_caching_nodes=num_caching_nodes or settings.num_caching_nodes,
-            rates=rates,
-            seed=seed,
-            with_queries=with_queries,
-            refresh_jitter=settings.refresh_jitter,
-            bus=bus,
-            backend=backend,
-            placement=placement,
-            onpath=onpath,
-        )
-        horizon = settings.duration
-        if fault_plan is not None:
-            from repro.faults.injectors import install_faults
-
-            install_faults(runtime, fault_plan, seed=seed, until=horizon)
-        runtime.install_freshness_probe(interval=settings.probe_interval, until=horizon)
-        if with_queries:
-            popularity = ZipfPopularity(catalog.item_ids, s=settings.zipf_exponent)
-            if cycle is not None:
-                schedule_cycle_queries(
-                    runtime,
-                    rate_per_node=settings.query_rate,
-                    duration=horizon,
-                    rng=np.random.default_rng(seed * 7919 + 17),
-                    cycle=cycle,
-                    popularity=popularity,
-                )
-            else:
-                schedule_queries(
-                    runtime,
-                    rate_per_node=settings.query_rate,
-                    duration=horizon,
-                    rng=np.random.default_rng(seed * 7919 + 17),
-                    popularity=popularity,
-                )
-        runtime.run(until=horizon)
-    finally:
-        if bus is not None:
-            from repro.sim.messages import set_message_trace
-
-            set_message_trace(None)
-    if bus is not None:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(bus.records, trace_path)
-
-    warmup = settings.warmup_fraction * horizon
-    fresh = freshness_summary(runtime, t0=warmup, t1=horizon)
-    refresh = refresh_outcomes(
-        runtime.update_log,
-        runtime.history,
-        catalog,
-        runtime.caching_nodes,
-        horizon=horizon,
-        messages=runtime.refresh_overhead(),
-    )
-    metrics = RunMetrics(
-        scheme=runtime.config.name,
+    spec = RunSpec(
+        settings=settings,
         seed=seed,
-        freshness=fresh.freshness,
-        validity=fresh.validity,
-        messages=refresh.messages,
-        messages_per_update=refresh.messages_per_update,
-        on_time_ratio=refresh.on_time_ratio,
-        refresh_delay=refresh.mean_delay,
-    )
-    if with_queries:
-        outcomes = judge_queries(runtime.query_records(), runtime.history, catalog)
-        metrics.queries_issued = outcomes.issued
-        metrics.query_answer_ratio = outcomes.answer_ratio
-        metrics.query_fresh_ratio = outcomes.fresh_ratio
-        metrics.query_valid_ratio = outcomes.valid_ratio
-        metrics.query_validity_e2e = outcomes.end_to_end_validity
-        metrics.query_delay = outcomes.mean_delay
-    return metrics
+        scheme=scheme,
+        with_queries=with_queries,
+        cycle=cycle,
+        fault_plan=fault_plan,
+        placement=placement,
+        onpath=onpath,
+        backend=backend,
+        num_caching_nodes=num_caching_nodes,
+        trace_path=trace_path,
+    ).resolved()
+    return score(simulate(spec, trace, catalog, rates=rates), spec)
 
 
 def run_replicated(

@@ -44,9 +44,6 @@ _SETTINGS_PASSTHROUGH = (
     "query_rate_per_day",
     "zipf_exponent",
     "warmup_fraction",
-    "fanout",
-    "max_depth",
-    "max_relays",
     "refresh_jitter",
 )
 

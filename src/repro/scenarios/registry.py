@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.core.scheme import SCHEMES
+from repro.core.soa import soa_unsupported
 from repro.mobility.calibration import list_profiles
 
 #: default directory of committed scenario files, relative to the repo root
@@ -97,6 +98,10 @@ def _non_negative(value) -> Optional[str]:
 
 def _at_least_one(value) -> Optional[str]:
     return None if value >= 1 else f"must be >= 1, got {value}"
+
+
+def _fraction_open(value) -> Optional[str]:
+    return None if 0 < value < 1 else f"must be in (0, 1), got {value}"
 
 
 def _fraction_open_closed(value) -> Optional[str]:
@@ -194,8 +199,10 @@ SCHEMA: tuple[SchemaKey, ...] = (
     SchemaKey("settings", "refresh_interval_hours", "float", default=24.0,
               check=_positive, doc="Version refresh interval in hours."),
     SchemaKey("settings", "freshness_requirement", "float", default=0.9,
-              check=_fraction_open_closed,
-              doc="Per-hop on-time delivery target in (0, 1]."),
+              check=_fraction_open,
+              doc="End-to-end probability that a new version reaches a "
+                  "caching node within one refresh interval, in (0, 1); "
+                  "a tree of depth D provisions each hop for p^(1/D)."),
     SchemaKey("settings", "lifetime_factor", "float", default=2.0,
               check=_positive,
               doc="Item lifetime as a multiple of the refresh interval."),
@@ -212,12 +219,6 @@ SCHEMA: tuple[SchemaKey, ...] = (
     SchemaKey("settings", "warmup_fraction", "float", default=0.1,
               check=_fraction_closed_open,
               doc="Leading fraction of the horizon excluded from metrics."),
-    SchemaKey("settings", "fanout", "integer", default=3,
-              check=_at_least_one, doc="Refresh-tree fanout."),
-    SchemaKey("settings", "max_depth", "integer", default=3,
-              check=_at_least_one, doc="Refresh-tree depth limit."),
-    SchemaKey("settings", "max_relays", "integer", default=5,
-              check=_non_negative, doc="Relays provisioned per tree edge."),
     SchemaKey("settings", "refresh_jitter", "float", default=0.25,
               check=_non_negative,
               doc="Relative jitter on the refresh schedule."),
@@ -229,8 +230,9 @@ SCHEMA: tuple[SchemaKey, ...] = (
               doc="Schedule the query workload and report query metrics."),
     SchemaKey("run", "backend", "string", default="object",
               check=_known_backend,
-              doc="Execution engine; 'soa' is the vectorised backend "
-                  "(no queries, faults, placement or on-path caching)."),
+              doc="Execution engine; 'soa' is the vectorised backend, "
+                  "which rejects the features repro.core.soa.UNSUPPORTED "
+                  "lists."),
     # [workload.diurnal]
     SchemaKey("workload.diurnal", "activity", "array of floats",
               default="24 x 1.0-ish office-hours profile", check=_activity_24,
@@ -567,18 +569,31 @@ def _validate_semantics(doc: dict) -> list[str]:
             "with_queries = true"
         )
     if backend == "soa":
-        for active, what in (
-            (with_queries, "[run] with_queries"),
-            ("faults" in doc, "[faults]"),
-            ("placement" in doc, "[placement]"),
-            (has_onpath, "[caching.onpath]"),
-            (has_cycle, "[workload] cycles"),
-        ):
-            if active:
-                errors.append(
-                    f"[run]: backend = 'soa' does not support {what}"
-                )
+        missing = soa_unsupported(
+            queries=with_queries,
+            cycle=has_cycle,
+            faults="faults" in doc,
+            placement="placement" in doc,
+            onpath=has_onpath,
+            invalidate="invalidate" in run.get("schemes", ()),
+        )
+        for key in missing:
+            errors.append(
+                f"[run]: backend = 'soa' does not support {_SOA_TABLES[key]}"
+            )
     return errors
+
+
+#: where a scenario document asks for each feature of
+#: :data:`repro.core.soa.UNSUPPORTED` it can express
+_SOA_TABLES = {
+    "queries": "[run] with_queries",
+    "cycle": "[workload] cycles",
+    "faults": "[faults]",
+    "placement": "[placement]",
+    "onpath": "[caching.onpath]",
+    "invalidate": "[run] schemes = 'invalidate'",
+}
 
 
 # -- loading ---------------------------------------------------------------

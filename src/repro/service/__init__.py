@@ -36,7 +36,6 @@ from repro.service.http import HttpApi
 from repro.service.pipeline import Handler, Pipeline
 from repro.service.runtime import (
     LiveService,
-    build_live_service,
     replay,
     replay_scores,
     scores_match,
@@ -67,7 +66,6 @@ __all__ = [
     "RestoredService",
     "SocketSource",
     "Supervisor",
-    "build_live_service",
     "replay",
     "replay_scores",
     "restore_service",

@@ -352,9 +352,19 @@ class BuildSpec:
                    service=service)
 
     def settings_obj(self) -> "Settings":
+        """The spec's :class:`Settings`; a key no setting has (say, one
+        a later version removed) is a :class:`CheckpointError`."""
+        from dataclasses import fields
+
         from repro.experiments.config import Settings
 
         fields_ = dict(self.settings)
+        unknown = sorted(set(fields_) - {f.name for f in fields(Settings)})
+        if unknown:
+            raise CheckpointError(
+                f"build spec names unknown setting(s) {', '.join(unknown)}; "
+                "it was written by an incompatible version"
+            )
         fields_["seeds"] = tuple(fields_["seeds"])
         return Settings(**fields_)
 

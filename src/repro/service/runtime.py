@@ -34,10 +34,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis.metrics import freshness_summary, refresh_outcomes
-from repro.caching.items import DataCatalog
-from repro.contacts.rates import RateTable, mle_rates
-from repro.core.scheme import SchemeConfig, SchemeRuntime, build_simulation
+from repro.contacts.rates import mle_rates
+from repro.core.scheme import SchemeConfig, SchemeRuntime
 from repro.mobility.trace import ContactTrace
 from repro.obs.bus import EventBus
 from repro.obs.records import ServiceSnapshot
@@ -48,6 +46,7 @@ from repro.service.sources import ReplaySource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import Settings
+    from repro.experiments.runner import RunSpec
 
 #: queue-end sentinel for the query worker
 _QUERY_EOS = object()
@@ -142,28 +141,28 @@ class ResultBuilder(Handler):
 class LiveService:
     """Online runtime over a streaming contact feed plus a query plane.
 
-    Use :func:`build_live_service` (or :func:`service_from_settings`)
-    rather than constructing directly.
+    Use :func:`service_from_settings` rather than constructing
+    directly.  ``spec`` describes the run the service serves; its
+    horizon is the settings' duration.
     """
 
     def __init__(
         self,
         runtime: SchemeRuntime,
-        horizon: float,
-        warmup_fraction: float = 0.1,
+        spec: "RunSpec",
         contact_queue: int = 256,
         query_queue: int = 1024,
         serve_rate: Optional[float] = None,
         bus: Optional[EventBus] = None,
         snapshot_interval: float = 1.0,
     ) -> None:
-        if horizon <= 0:
+        if spec.settings.duration <= 0:
             raise ValueError("horizon must be positive")
         if serve_rate is not None and serve_rate <= 0:
             raise ValueError("serve_rate must be positive")
         self.runtime = runtime
-        self.horizon = float(horizon)
-        self.warmup_fraction = warmup_fraction
+        self.spec = spec
+        self.horizon = float(spec.settings.duration)
         self.contact_queue = contact_queue
         self.serve_rate = serve_rate
         self.bus = bus
@@ -571,31 +570,14 @@ class LiveService:
         )
 
     def score(self) -> dict:
-        """Score the finished run exactly like the batch path does.
-
-        Mirrors ``run_once``: freshness/validity from the probe series
-        over the post-warmup window, refresh outcomes from the update
-        log.  Call after :meth:`finish`.
+        """Score the finished run with the batch path's
+        :func:`~repro.experiments.runner.score`; the :data:`SCORE_FIELDS`
+        of its metrics, as a dict.  Call after :meth:`finish`.
         """
-        runtime = self.runtime
-        warmup = self.warmup_fraction * self.horizon
-        fresh = freshness_summary(runtime, t0=warmup, t1=self.horizon)
-        refresh = refresh_outcomes(
-            runtime.update_log,
-            runtime.history,
-            runtime.catalog,
-            runtime.caching_nodes,
-            horizon=self.horizon,
-            messages=runtime.refresh_overhead(),
-        )
-        return {
-            "freshness": fresh.freshness,
-            "validity": fresh.validity,
-            "messages": refresh.messages,
-            "messages_per_update": refresh.messages_per_update,
-            "on_time_ratio": refresh.on_time_ratio,
-            "refresh_delay": refresh.mean_delay,
-        }
+        from repro.experiments.runner import score
+
+        metrics = score(self.runtime, self.spec)
+        return {name: getattr(metrics, name) for name in SCORE_FIELDS}
 
 
 SCORE_FIELDS = (
@@ -627,51 +609,6 @@ def scores_match(service_score: dict, metrics) -> bool:
     return True
 
 
-def build_live_service(
-    trace: ContactTrace,
-    catalog: DataCatalog,
-    scheme: "str | SchemeConfig" = "hdr",
-    seed: int = 0,
-    num_caching_nodes: int = 12,
-    horizon: float = 3 * 86400.0,
-    probe_interval: float = 1800.0,
-    refresh_jitter: float = 0.0,
-    warmup_fraction: float = 0.1,
-    rates: Optional[RateTable] = None,
-    **service_kwargs,
-) -> LiveService:
-    """Wire a :class:`LiveService` whose contact schedule starts empty.
-
-    ``trace`` provides the node population and (by default) the MLE
-    contact-rate estimate -- exactly the knowledge the batch path uses
-    -- but none of its contacts are pre-scheduled; they arrive through
-    the ingest pipeline.  Everything else (structure building, relay
-    planning, RNG consumption, probe installation) mirrors the batch
-    wiring step for step, which is what makes replay equivalence hold.
-    """
-    if rates is None:
-        rates = mle_rates(trace)
-    empty = ContactTrace([], node_ids=trace.node_ids, name=f"{trace.name}:live")
-    runtime = build_simulation(
-        empty,
-        catalog,
-        scheme=scheme,
-        num_caching_nodes=num_caching_nodes,
-        rates=rates,
-        seed=seed,
-        refresh_jitter=refresh_jitter,
-    )
-    # Installed before network.start() -- the same relative order as the
-    # batch path (run_once installs the probe before runtime.run).
-    runtime.install_freshness_probe(interval=probe_interval, until=horizon)
-    return LiveService(
-        runtime,
-        horizon=horizon,
-        warmup_fraction=warmup_fraction,
-        **service_kwargs,
-    )
-
-
 def service_from_settings(
     settings: "Settings",
     seed: int,
@@ -681,26 +618,29 @@ def service_from_settings(
     """Build a service with the experiment runner's exact wiring.
 
     Generates the settings' trace realisation for ``seed`` (via the
-    per-seed artifact cache), derives sources/catalog the same way
-    ``run_once`` does, and returns ``(service, trace)`` so the caller
+    per-seed artifact cache) and wires the run through
+    :func:`~repro.experiments.runner.prepare`, like ``run_once``, with
+    one difference: the runtime's contact schedule starts *empty*.  The
+    trace provides the node population and the MLE contact-rate
+    estimate -- exactly the knowledge the batch path uses -- but its
+    contacts arrive through the ingest pipeline, which is what makes
+    replay equivalence hold.  Returns ``(service, trace)`` so the caller
     can replay the very trace the runtime was estimated from.
     """
-    from repro.experiments.runner import choose_sources, make_catalog, make_trace
+    from repro.experiments.runner import (
+        RunSpec,
+        choose_sources,
+        make_catalog,
+        make_trace,
+        prepare,
+    )
 
     trace = make_trace(settings, seed)
     catalog = make_catalog(settings, choose_sources(trace, settings))
-    service = build_live_service(
-        trace,
-        catalog,
-        scheme=scheme,
-        seed=seed,
-        num_caching_nodes=settings.num_caching_nodes,
-        horizon=settings.duration,
-        probe_interval=settings.probe_interval,
-        refresh_jitter=settings.refresh_jitter,
-        warmup_fraction=settings.warmup_fraction,
-        **service_kwargs,
-    )
+    empty = ContactTrace([], node_ids=trace.node_ids, name=f"{trace.name}:live")
+    spec = RunSpec(settings, seed, scheme)
+    with prepare(spec, empty, catalog, rates=mle_rates(trace)) as runtime:
+        service = LiveService(runtime, spec, **service_kwargs)
     return service, trace
 
 

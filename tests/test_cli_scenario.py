@@ -103,6 +103,25 @@ class TestListShowValidate:
         out = capsys.readouterr().out
         assert "ok:" in out and "error:" in out
 
+    @pytest.mark.parametrize("line", [
+        "fanout = 1", "max_depth = 1", "max_relays = 1",
+        "freshness_requirement = 1.0",
+    ])
+    def test_validate_rejects_settings_no_run_can_use(self, scenario_dir,
+                                                      capsys, line):
+        """Tree-shape keys live on the scheme, not in [settings], and a
+        requirement of 1.0 cannot be provisioned: validation fails
+        instead of passing a scenario that then runs wrongly or dies."""
+        path = scenario_dir / "extra.toml"
+        path.write_text(GOOD.replace("[run]", f"{line}\n\n[run]"))
+        assert main(["scenario", "validate", str(path)]) == 2
+        out = capsys.readouterr().out
+        key = line.split(" = ")[0]
+        assert "[settings]: " in out and key in out
+        if key != "freshness_requirement":
+            assert f"unknown key {key!r}" in out
+        assert "Traceback" not in out
+
     def test_committed_scenarios_validate(self, capsys):
         from pathlib import Path
 

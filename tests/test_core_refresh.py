@@ -217,10 +217,6 @@ class TestSourceHandler:
         assert bed.history.num_versions(0) == 4  # t=0,100,200,300
         assert bed.source.current_version(0)[0] == 4
 
-    def test_poisson_mode_needs_rng(self):
-        with pytest.raises(ValueError):
-            SourceHandler(items=[], history=VersionHistory(), mode="poisson")
-
     def test_jitter_validated(self):
         with pytest.raises(ValueError):
             SourceHandler(items=[], history=VersionHistory(), jitter=1.0)
@@ -245,10 +241,6 @@ class TestSourceHandler:
         version, vtime = bed.source.answer_provider(0)
         assert version == 2
         assert vtime == 100.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            SourceHandler(items=[], history=VersionHistory(), mode="weird")
 
 
 class TestFlooding:

@@ -189,10 +189,3 @@ class TestBuildSimulation:
             assert store.policy is EvictionPolicy.FIFO
         # 3 items seeded into capacity-2 stores: evictions must have happened
         assert sum(store.evictions for store in runtime.stores.values()) > 0
-
-    def test_poisson_refresh_mode(self, small_trace, catalog):
-        runtime = build_simulation(small_trace, catalog, scheme="hdr",
-                                   num_caching_nodes=5, seed=1,
-                                   refresh_mode="poisson")
-        runtime.run(until=86400.0)
-        assert runtime.history.num_versions(0) >= 1

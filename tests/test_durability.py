@@ -267,6 +267,20 @@ class TestBuildSpec:
         with pytest.raises(CheckpointError):
             BuildSpec.load(tmp_path)
 
+    @pytest.mark.parametrize("key", ["fanout", "max_depth", "max_relays"])
+    def test_restore_of_spec_with_removed_setting_names_it(self, tmp_path,
+                                                           key):
+        """A spec.json written while Settings still had the tree-shape
+        fields restores to a CheckpointError naming the key, not a
+        TypeError out of the Settings constructor."""
+        spec = BuildSpec.from_settings(_settings(), seed=1, scheme="hdr")
+        payload = spec.as_dict()
+        payload["settings"][key] = 3
+        (tmp_path / SPEC_FILE).write_text(json.dumps(payload),
+                                          encoding="utf-8")
+        with pytest.raises(CheckpointError, match=key):
+            restore_service(tmp_path)
+
 
 class TestCheckpointRestore:
     """The heart of the PR: restore == never-crashed, digest-verified."""

@@ -53,12 +53,12 @@ class TestSettingsFromDoc:
             profile = "small"
             num_items = 3
             zipf_exponent = 1.2
-            fanout = 2
+            num_sources = 3
         """))
         assert settings.profile == "small"
         assert settings.num_items == 3
         assert settings.zipf_exponent == 1.2
-        assert settings.fanout == 2
+        assert settings.num_sources == 3
         # unlisted keys keep library defaults
         assert settings.num_caching_nodes == Settings().num_caching_nodes
 

@@ -126,7 +126,7 @@ _scalar_axes = st.lists(
     st.tuples(
         st.sampled_from([
             ("settings.num_items", st.integers(1, 8)),
-            ("settings.fanout", st.integers(1, 5)),
+            ("settings.num_sources", st.integers(1, 5)),
             ("settings.refresh_interval_hours",
              st.floats(1.0, 48.0, allow_nan=False)),
             ("settings.zipf_exponent", st.floats(0.0, 2.0, allow_nan=False)),

@@ -39,9 +39,6 @@ query_rate_per_day = 4.0
 zipf_exponent = 0.8
 probe_interval_minutes = 20.0
 warmup_fraction = 0.1
-fanout = 3
-max_depth = 3
-max_relays = 5
 refresh_jitter = 0.25
 
 [run]
@@ -159,6 +156,29 @@ class TestValidation:
         )
         assert any("warmup_fraction" in e for e in errors)
         assert any("freshness_requirement" in e for e in errors)
+
+    def test_freshness_requirement_of_one_rejected(self):
+        """An item cannot be provisioned for certain delivery; the
+        registry and ``Settings.validate`` share the item's (0, 1)."""
+        errors = validate_doc(
+            {"scenario": {"name": "x"},
+             "run": {"schemes": ["hdr"]},
+             "settings": {"freshness_requirement": 1.0}}
+        )
+        assert errors == [
+            "[settings]: freshness_requirement: must be in (0, 1), got 1.0"
+        ]
+
+    @pytest.mark.parametrize("key", ["fanout", "max_depth", "max_relays"])
+    def test_tree_shape_is_not_a_setting(self, key):
+        """Tree shape lives on the scheme, not in [settings]."""
+        errors = validate_doc(
+            {"scenario": {"name": "x"},
+             "run": {"schemes": ["hdr"]},
+             "settings": {key: 1}}
+        )
+        assert len(errors) == 1
+        assert errors[0].startswith(f"[settings]: unknown key {key!r}")
 
     def test_cycle_requires_queries(self):
         errors = validate_doc(

@@ -89,3 +89,82 @@ class TestBackendValidation:
         trace = make_trace(settings, 1)
         with pytest.raises(ValueError):
             run_once(trace, "invalidate", settings, seed=1, backend="soa")
+
+
+def _feature_requests(feature: str):
+    """How each layer asks for one feature the soa executor cannot run:
+    (scenario-document tables, sweep-point fields, ``build_simulation``
+    keywords), ``None`` where a layer cannot express the feature.
+    Tracing reaches a sweep only through the ambient sink."""
+    from repro.caching.onpath import OnPathConfig
+    from repro.caching.placement import PopularityPlacement
+    from repro.faults.plan import FaultPlan
+    from repro.obs.bus import EventBus
+    from repro.sim.network import LinkModel
+    from repro.workloads.cycles import DiurnalCycle, QueryCycle
+
+    queries = {"with_queries": True}
+    return {
+        "queries": ({"run": queries}, queries, queries),
+        "cycle": ({"run": queries, "workload": {"diurnal": {}}},
+                  {**queries, "cycle": QueryCycle(diurnal=DiurnalCycle())},
+                  None),
+        "faults": ({"faults": {"messages": {"loss_rate": 0.1}}},
+                   {"fault_plan": FaultPlan(loss_rate=0.1)}, None),
+        "tracing": (None, "ambient sink", {"bus": EventBus()}),
+        "placement": ({"placement": {"policy": "popularity"}},
+                      {"placement": PopularityPlacement()},
+                      {"placement": PopularityPlacement()}),
+        "onpath": ({"run": queries, "caching": {"onpath": {"strategy": "lce"}}},
+                   {**queries, "onpath": OnPathConfig()},
+                   {**queries, "onpath": OnPathConfig()}),
+        "link_model": (None, None, {"link_model": LinkModel()}),
+        "record_transfers": (None, None, {"record_transfers": True}),
+        "invalidate": ({"run": {"schemes": ["invalidate"]}},
+                       {"schemes": ("invalidate",)}, {"scheme": "invalidate"}),
+    }[feature]
+
+
+class TestOneCapabilityTable:
+    """The registry, sweep validation and ``build_simulation`` reject
+    every feature of ``repro.core.soa.UNSUPPORTED`` they can express,
+    each reading the one table."""
+
+    @pytest.mark.parametrize("feature", sorted(soa_module.UNSUPPORTED))
+    def test_every_layer_rejects(self, feature, tmp_path):
+        from repro.core.scheme import build_simulation
+        from repro.experiments.parallel import SweepPoint, build_jobs
+        from repro.experiments.runner import (
+            choose_sources,
+            make_catalog,
+            trace_output,
+        )
+        from repro.scenarios import validate_doc
+
+        doc_tables, point_fields, build_kwargs = _feature_requests(feature)
+        name = soa_module.UNSUPPORTED[feature]
+        settings = small_settings()
+        if doc_tables is not None:
+            doc = {"scenario": {"name": "x"},
+                   "run": {"schemes": ["hdr"], "backend": "soa"}}
+            for table, values in doc_tables.items():
+                doc.setdefault(table, {}).update(values)
+            errors = validate_doc(doc)
+            assert any("backend = 'soa' does not support" in e
+                       for e in errors), errors
+        if point_fields == "ambient sink":
+            point = SweepPoint(settings=settings, schemes=("hdr",),
+                               backend="soa")
+            with pytest.raises(ValueError, match=name):
+                with trace_output(tmp_path / "t.jsonl"):
+                    build_jobs([point])
+        elif point_fields is not None:
+            point = SweepPoint(settings=settings, backend="soa",
+                               **{"schemes": ("hdr",), **point_fields})
+            with pytest.raises(ValueError, match=name):
+                build_jobs([point])
+        if build_kwargs is not None:
+            trace = make_trace(settings, 1)
+            catalog = make_catalog(settings, choose_sources(trace, settings))
+            with pytest.raises(ValueError, match=name):
+                build_simulation(trace, catalog, backend="soa", **build_kwargs)
