@@ -16,6 +16,16 @@ against the ground-truth :class:`~repro.caching.items.VersionHistory`
 (nodes themselves cannot know the source's current version -- that is
 the whole problem the paper addresses).
 
+Only the first answer counts, so once the requester holds one every
+other response to the query is dead weight.  The requester then *cures*
+the query: :class:`Cures` are the anti-packets of the IMMUNE/VACCINE
+recovery of Zhang, Neglia, Kurose & Towsley ("Performance modeling of
+epidemic routing", Computer Networks 2007).  They travel in the contact
+handshake of the response plane, and a node that knows a cure drops its
+copies of the query's responses and never takes, forwards or originates
+one again.  The query itself still travels and is still looked up, as
+before.
+
 Answer lookup is provider-based: by default a node answers from its
 cache store; the refresh schemes register an authoritative provider on
 source nodes.
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.caching.items import DataCatalog
@@ -67,6 +78,85 @@ class QueryRecord:
         return None if self.answered_at is None else self.answered_at - self.issued_at
 
 
+class Cures:
+    """The cures one node knows: ids of queries whose requester holds an
+    answer, each with the time after which no response to it is alive.
+
+    A response is created while its query is alive (at most one TTL
+    after the query was issued) and lives one TTL itself, so a cure
+    expires at issue time + 2 x TTL and the set stays bounded by the
+    queries answered in that window.  Peers pull cures from each other
+    through a per-peer watermark into an append-only log, so a contact
+    costs what the peer learned since the last one, not its whole set.
+    """
+
+    def __init__(self) -> None:
+        #: query id -> expiry time
+        self.expires: dict[int, float] = {}
+        #: every cure in the order this node learned it; entries before
+        #: ``_head`` have expired and are compacted away in bulk
+        self._log: list[int] = []
+        self._head = 0
+        #: absolute log position of ``_log[0]``
+        self._base = 0
+        #: peer node id -> absolute position in that peer's log pulled so far
+        self._marks: dict[int, int] = {}
+        #: (expiry time, query id) min-heap for :meth:`expire`
+        self._expiry: list[tuple[float, int]] = []
+
+    def __contains__(self, query_id: int) -> bool:
+        return query_id in self.expires
+
+    @staticmethod
+    def key(message: Message) -> int:
+        """The cure a response waits on: its query id."""
+        return message.payload["query_id"]
+
+    def add(self, query_id: int, expires_at: float) -> bool:
+        """Learn one cure; ``False`` if it was already known."""
+        if query_id in self.expires:
+            return False
+        self.expires[query_id] = expires_at
+        self._log.append(query_id)
+        heappush(self._expiry, (expires_at, query_id))
+        return True
+
+    def pull(self, peer: "Cures", peer_id: int, now: float) -> list[int]:
+        """Learn the live cures ``peer`` learned since the last pull from
+        it; returns the ids new to this node."""
+        self.expire(now)
+        log = peer._log
+        start = max(self._marks.get(peer_id, 0) - peer._base, peer._head)
+        self._marks[peer_id] = peer._base + len(log)
+        learned = []
+        known = self.expires
+        for query_id in log[start:]:
+            if query_id in known:
+                continue
+            expires_at = peer.expires.get(query_id)
+            if expires_at is not None and expires_at >= now:
+                self.add(query_id, expires_at)
+                learned.append(query_id)
+        return learned
+
+    def expire(self, now: float) -> None:
+        """Forget every cure whose queries' responses are all dead."""
+        heap = self._expiry
+        if not heap or heap[0][0] >= now:
+            return
+        expires = self.expires
+        while heap and heap[0][0] < now:
+            del expires[heappop(heap)[1]]
+        log, head = self._log, self._head
+        while head < len(log) and log[head] not in expires:
+            head += 1
+        if head > len(log) // 2:
+            del log[:head]
+            self._base += head
+            head = 0
+        self._head = head
+
+
 class QueryManager(ProtocolHandler):
     """Per-node query origination, forwarding, and answering."""
 
@@ -92,6 +182,9 @@ class QueryManager(ProtocolHandler):
         self._carried: dict[int, Message] = {}
         self._forwarded_to: dict[int, set[int]] = {}
         self._answered: set[int] = set()
+        #: cured query ids; shared with the response agent, which
+        #: exchanges them at contact start and drops cured responses
+        self.cures = Cures()
         self.providers: list[AnswerProvider] = []
         if store is not None:
             self.providers.append(self._store_provider)
@@ -104,6 +197,7 @@ class QueryManager(ProtocolHandler):
         agent = self.node.find_handler(RoutingAgent)
         if agent is not None:
             agent.on_delivery("response", self._on_response)
+            agent.cures = self.cures
 
     def add_provider(self, provider: AnswerProvider) -> None:
         """Register an answer source tried before the cache store."""
@@ -185,8 +279,13 @@ class QueryManager(ProtocolHandler):
         if peer.node_id in given:
             return
         peer_manager = peer.find_handler(QueryManager)
-        if isinstance(peer_manager, QueryManager) and query_id in peer_manager._carried:
-            return  # peer already carries it (summary-vector shortcut)
+        if isinstance(peer_manager, QueryManager) and (
+            query_id in peer_manager._carried
+            or peer_manager._holds_answer(query_id)
+        ):
+            # summary-vector shortcut: the peer already carries the
+            # query, or asked it and has its answer
+            return
         outgoing = message.copy()
         if outgoing.hops_left is not None:
             outgoing.hops_left -= 1
@@ -200,7 +299,8 @@ class QueryManager(ProtocolHandler):
         query_id = message.payload["query_id"]
         item_id = message.payload["item_id"]
         now = self.node.sim.now
-        if query_id in self._carried or query_id in self._answered:
+        if (query_id in self._carried or query_id in self._answered
+                or self._holds_answer(query_id)):
             return
         answer = self._find_answer(item_id)
         if answer is not None:
@@ -210,7 +310,8 @@ class QueryManager(ProtocolHandler):
                     QueryHit(now, self.node.node_id, query_id, item_id,
                              answer[0], False)
                 )
-            self._send_response(message, answer)
+            if query_id not in self.cures:
+                self._send_response(message, answer)
             return
         # Cannot answer: keep carrying the query.
         if self.trace is not None:
@@ -224,6 +325,11 @@ class QueryManager(ProtocolHandler):
                 self._forward_to(message, self.node.network.nodes[peer_id])
 
     # -- answering ----------------------------------------------------------
+
+    def _holds_answer(self, query_id: int) -> bool:
+        """Whether this node asked ``query_id`` and has its answer."""
+        record = self._records_by_id.get(query_id)
+        return record is not None and record.answered
 
     def _find_answer(self, item_id: int) -> Optional[tuple[int, float]]:
         for provider in self.providers:
@@ -269,9 +375,11 @@ class QueryManager(ProtocolHandler):
             message.payload["served_by"],
             self.node.sim.now,
         )
-        # Stop forwarding the satisfied query.
+        # Stop forwarding the satisfied query, and cure it: every other
+        # response to it is now dead weight.
         self._carried.pop(record.query_id, None)
         self._forwarded_to.pop(record.query_id, None)
+        self.cures.add(record.query_id, record.issued_at + 2 * self.query_ttl)
 
     def _record_answer(
         self,

@@ -47,6 +47,16 @@ def _resolve_jobs_or_complain(jobs) -> Optional[int]:
         return None
 
 
+def _trace_dir_exists_or_complain(path) -> bool:
+    """Refuse a ``--trace`` file whose directory does not exist, before
+    any work: the trace is written only after the runs it records."""
+    directory = Path(path).parent
+    if directory.is_dir():
+        return True
+    print(f"error: --trace {path}: directory {directory} does not exist")
+    return False
+
+
 def _load_fault_plan_or_complain(path):
     """Load a ``--faults`` TOML plan, printing errors without tracebacks."""
     from repro.faults.plan import load_plan
@@ -1059,6 +1069,9 @@ def _terminate_as_interrupt():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    trace = getattr(args, "trace", None)
+    if trace and not _trace_dir_exists_or_complain(trace):
+        return 2
     handlers = {
         "experiments": _cmd_experiments,
         "run": _cmd_run,

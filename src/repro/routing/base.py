@@ -9,7 +9,10 @@ expiry, duplicate suppression, delivery callbacks, per-kind statistics
 
 Upper layers (the caching protocol) inject messages with
 :meth:`RoutingAgent.originate` and register per-kind delivery callbacks
-with :meth:`RoutingAgent.on_delivery`.
+with :meth:`RoutingAgent.on_delivery`.  An upper layer may also hand the
+agent *cures* (anti-packets, see :class:`repro.caching.query.Cures`):
+the agent then refuses every message whose cure it knows and drops its
+buffered ones the moment it learns one.
 """
 
 from __future__ import annotations
@@ -73,6 +76,12 @@ class RoutingAgent(ProtocolHandler):
         self._expiry: dict[float, list[tuple[float, int, Message]]] = {}
         self._expiry_seq = itertools.count()
         self._forwarded_counters: dict[str, Counter] = {}
+        #: the cures this node knows (``key(message)``, ``in``, ``pull``),
+        #: installed by the protocol that issues them; ``None``: none
+        self.cures = None
+        #: ids of the buffered messages per cure key, so a cure drops its
+        #: messages without a buffer scan (kept only while ``cures`` is set)
+        self._by_cure: dict[object, list[int]] = {}
 
     # -- public API for upper layers -------------------------------------
 
@@ -133,6 +142,10 @@ class RoutingAgent(ProtocolHandler):
         self._try_forward_all(peer)
 
     def on_message(self, message: Message, sender: Node) -> None:
+        cures = self.cures
+        if cures is not None and cures.key(message) in cures:
+            self.stats.counter("routing.refused_cured").add(1)
+            return
         if message.dst == self.node.node_id:
             if message.msg_id not in self.seen:
                 self.seen.add(message.msg_id)
@@ -170,6 +183,32 @@ class RoutingAgent(ProtocolHandler):
         for message in list(self.buffer.values()):
             self._try_forward_one(message, peer)
 
+    def _exchange_cures(self, peer_agent: "RoutingAgent", peer: Node) -> None:
+        """Pull the cures ``peer`` learned since the last contact and drop
+        the buffered messages they cure."""
+        cures, theirs = self.cures, peer_agent.cures
+        if cures is not None and theirs is not None:
+            self._drop_cured(cures.pull(theirs, peer.node_id, self.node.sim.now))
+
+    def _drop_cured(self, keys) -> None:
+        """Drop every buffered message waiting on one of the cures ``keys``."""
+        buffer, by_cure = self.buffer, self._by_cure
+        dropped = 0
+        for key in keys:
+            for msg_id in by_cure.pop(key, ()):
+                del buffer[msg_id]
+                dropped += 1
+        if dropped:
+            self.stats.counter("routing.dropped_cured").add(dropped)
+
+    def _unindex(self, message: Message) -> None:
+        """Forget a message that left the buffer from the cure index."""
+        key = self.cures.key(message)
+        waiting = self._by_cure[key]
+        waiting.remove(message.msg_id)
+        if not waiting:
+            del self._by_cure[key]
+
     def _try_forward_one(self, message: Message, peer: Node) -> None:
         if message.expired(self.node.sim.now):
             return
@@ -194,6 +233,13 @@ class RoutingAgent(ProtocolHandler):
         if self.buffer_capacity is not None and len(self.buffer) >= self.buffer_capacity:
             self._evict_one()
         self.buffer[message.msg_id] = message
+        if self.cures is not None:
+            key = self.cures.key(message)
+            waiting = self._by_cure.get(key)
+            if waiting is None:
+                self._by_cure[key] = [message.msg_id]
+            else:
+                waiting.append(message.msg_id)
         if message.ttl is not None:
             heap = self._expiry.get(message.ttl)
             if heap is None:
@@ -206,6 +252,8 @@ class RoutingAgent(ProtocolHandler):
             return
         victim = min(self.buffer.values(), key=lambda m: (m.created_at, m.msg_id))
         del self.buffer[victim.msg_id]
+        if self.cures is not None:
+            self._unindex(victim)
         self.stats.counter("routing.evicted").add(1)
 
     def _expire_buffer(self) -> None:
@@ -221,6 +269,8 @@ class RoutingAgent(ProtocolHandler):
                 elif now - created_at > ttl:
                     heappop(heap)
                     del buffer[message.msg_id]
+                    if self.cures is not None:
+                        self._unindex(message)
                     dropped += 1
                 else:
                     break

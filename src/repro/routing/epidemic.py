@@ -2,7 +2,9 @@
 
 The flooding upper bound: minimum delivery delay, maximum transmission
 overhead.  A summary-vector handshake (modelled by peeking at the peer's
-``seen`` set) suppresses re-sending messages the peer already carries.
+``seen`` set) suppresses re-sending messages the peer already carries,
+and, when the agent carries cures, first pulls the peer's new cures so
+that nothing either side knows is cured is offered.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ class EpidemicRouting(RoutingAgent):
         # offer only what it has not seen, in buffer order.  Same result
         # as asking should_forward per message: sends are delivered
         # through the event heap, so the peer's seen set cannot change
-        # while this loop runs.
+        # while this loop runs.  Cures are exchanged first, so nothing
+        # the peer knows is cured is offered.
         peer_agent = self.peer_agent(peer)
         if peer_agent is None:
             offers = [m for m in self.buffer.values() if m.dst == peer.node_id]
         else:
+            self._exchange_cures(peer_agent, peer)
             seen = peer_agent.seen
             offers = [m for mid, m in self.buffer.items() if mid not in seen]
         now = self.node.sim.now

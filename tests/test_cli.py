@@ -67,3 +67,31 @@ class TestCommands:
         assert "freshness" in out
         assert "queries issued" in out
 
+
+class TestTraceDirectory:
+    """Every command with ``--trace`` refuses a file in a missing
+    directory before it does any work."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "E4", "--fast"],
+        ["scenario", "run", "quickstart"],
+        ["simulate", "--days", "1"],
+        ["predict", "--fast"],
+        ["serve", "--days", "1", "--http", "off"],
+    ], ids=["run", "scenario-run", "simulate", "predict", "serve"])
+    def test_missing_directory_refused_up_front(self, command, capsys,
+                                                tmp_path, monkeypatch):
+        import repro.experiments.runner as runner
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(runner, "prepare", no_work)
+        monkeypatch.setattr(runner, "make_trace", no_work)
+        missing = tmp_path / "missing-dir" / "x.jsonl"
+        assert main([*command, "--trace", str(missing)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: --trace ")
+        assert "does not exist" in out
+        assert not missing.parent.exists()
+

@@ -1,4 +1,5 @@
-"""Golden outputs: per-seed run metrics and calibrated trace digests.
+"""Golden outputs: per-seed run metrics, first answers and calibrated
+trace digests.
 
 ``golden.json`` was recorded when every optimised build and accounting
 path still had a scalar twin behind a module switch -- array rate
@@ -8,6 +9,12 @@ and vectorised trace assembly -- and the default run and the all-scalar
 run produced exactly these numbers.  The file stands in for those twins
 as the oracle: a change that moves any output fails here.
 
+``RunMetrics`` keeps only ratios and a mean delay, so the ``queries``
+section also pins every first answer: per scenario, a SHA-256 over each
+``QueryRecord``'s requester, item, issue and answer times, version,
+version time and server, in issue order.  Query ids stay out of it,
+because they come from a process-wide counter.
+
 A change that is meant to move outputs rewrites the file with
 ``PYTHONPATH=src python -m tests.test_golden`` and says why.
 """
@@ -16,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +31,14 @@ import pytest
 
 from repro.core.scheme import SCHEMES
 from repro.experiments.config import DAY, Settings
-from repro.experiments.runner import RunMetrics, make_trace, run_once
+from repro.experiments.runner import RunMetrics, RunSpec, make_trace, prepare, score
 from repro.mobility.calibration import get_profile
+from repro.scenarios.compose import compose_scenario
+from repro.scenarios.registry import load_scenario
+from tests.query_plane import QueryPlaneMonitor
 
 GOLDEN = Path(__file__).with_name("golden.json")
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 #: Two scenarios: the small CI world, and the same trace family with
 #: paper-scale caching-node and item counts probed every minute, which
@@ -39,22 +51,66 @@ SCENARIOS = {
     ),
 }
 
+#: Worlds whose first answers are pinned: the two above, and a
+#: committed scenario whose queries follow a diurnal cycle with a flash
+#: crowd.
+QUERY_SCENARIOS = ("dense", "fast", "flash-crowd")
+
 #: Calibrated profiles built by the community generator, each drawn
 #: with ``default_rng(1)`` over its default horizon.
 PROFILES = ("infocom06", "reality", "small")
 
 
+def scenario_specs(scenario: str):
+    """Yield ``(spec, trace)`` for every run of ``scenario``.
+
+    A golden world runs every registered scheme, queries on, per seed;
+    a committed scenario runs its sweep points as ``repro scenario run``
+    does (``trace`` ``None``: the seed's cached trace).
+    """
+    if scenario in SCENARIOS:
+        settings = SCENARIOS[scenario]
+        for seed in settings.seeds:
+            trace = make_trace(settings, seed)
+            for scheme in SCHEMES:
+                yield RunSpec(settings, seed, scheme, with_queries=True), trace
+        return
+    _, points = compose_scenario(load_scenario(SCENARIO_DIR / f"{scenario}.toml"))
+    for point in points:
+        for seed in point.settings.seeds:
+            for scheme in point.schemes:
+                yield point.spec(seed, scheme), None
+
+
+def first_answer_line(record) -> str:
+    return (f"{record.requester} {record.item_id} {record.issued_at!r} "
+            f"{record.answered_at!r} {record.version} "
+            f"{record.version_time!r} {record.served_by}\n")
+
+
+@cache
+def outputs(scenario: str) -> tuple[list[dict], dict, list[str]]:
+    """``RunMetrics`` rows, the first-answer digest and the query-plane
+    invariant violations of every run of ``scenario``, from one pass."""
+    rows, violations = [], []
+    digest = hashlib.sha256()
+    count = 0
+    for spec, trace in scenario_specs(scenario):
+        with prepare(spec, trace) as runtime:
+            monitor = QueryPlaneMonitor(runtime)
+            runtime.run(until=spec.settings.duration)
+        rows.append(asdict(score(runtime, spec)))
+        for record in runtime.query_records():
+            digest.update(first_answer_line(record).encode())
+            count += 1
+        violations += [f"seed {spec.seed} {runtime.config.name}: {v}"
+                       for v in monitor.check()]
+    return rows, {"queries": count, "sha256": digest.hexdigest()}, violations
+
+
 def run_metrics(scenario: str) -> list[dict]:
     """``RunMetrics`` of every registered scheme, queries on, per seed."""
-    settings = SCENARIOS[scenario]
-    rows = []
-    for seed in settings.seeds:
-        trace = make_trace(settings, seed)
-        for scheme in SCHEMES:
-            metrics = run_once(trace, scheme, settings, seed=seed,
-                               with_queries=True)
-            rows.append(asdict(metrics))
-    return rows
+    return outputs(scenario)[0]
 
 
 def trace_digest(name: str) -> dict:
@@ -69,6 +125,7 @@ def trace_digest(name: str) -> dict:
 def compute() -> dict:
     return {
         "runs": {name: run_metrics(name) for name in SCENARIOS},
+        "queries": {name: outputs(name)[1] for name in QUERY_SCENARIOS},
         "traces": {name: trace_digest(name) for name in PROFILES},
     }
 
@@ -89,6 +146,18 @@ def test_run_metrics_match_golden(golden, scenario):
     assert any(m.messages > 0 and m.freshness > 0 for m in actual)
     assert any(m.queries_issued > 0 and not math.isnan(m.query_answer_ratio)
                for m in actual)
+
+
+@pytest.mark.parametrize("scenario", QUERY_SCENARIOS)
+def test_first_answers_match_golden(golden, scenario):
+    pinned = golden["queries"][scenario]
+    assert pinned["queries"] > 0
+    assert outputs(scenario)[1] == pinned
+
+
+@pytest.mark.parametrize("scenario", QUERY_SCENARIOS)
+def test_query_plane_invariants_hold(scenario):
+    assert outputs(scenario)[2] == []
 
 
 @pytest.mark.parametrize("name", PROFILES)
