@@ -21,10 +21,11 @@ other response to the query is dead weight.  The requester then *cures*
 the query: :class:`Cures` are the anti-packets of the IMMUNE/VACCINE
 recovery of Zhang, Neglia, Kurose & Towsley ("Performance modeling of
 epidemic routing", Computer Networks 2007).  They travel in the contact
-handshake of the response plane, and a node that knows a cure drops its
-copies of the query's responses and never takes, forwards or originates
-one again.  The query itself still travels and is still looked up, as
-before.
+handshake of the response plane and, like the responses they cure,
+cross every open contact in the event that taught them.  A node that
+knows a cure drops its copies of the query's responses and never takes,
+forwards or originates one again.  The query itself still travels and
+is still looked up, as before.
 
 Answer lookup is provider-based: by default a node answers from its
 cache store; the refresh schemes register an authoritative provider on
@@ -380,6 +381,7 @@ class QueryManager(ProtocolHandler):
         self._carried.pop(record.query_id, None)
         self._forwarded_to.pop(record.query_id, None)
         self.cures.add(record.query_id, record.issued_at + 2 * self.query_ttl)
+        self.node.find_handler(RoutingAgent).spread_cures()
 
     def _record_answer(
         self,

@@ -12,7 +12,8 @@ Upper layers (the caching protocol) inject messages with
 with :meth:`RoutingAgent.on_delivery`.  An upper layer may also hand the
 agent *cures* (anti-packets, see :class:`repro.caching.query.Cures`):
 the agent then refuses every message whose cure it knows and drops its
-buffered ones the moment it learns one.
+buffered ones the moment it learns one.  A cure crosses every open
+contact in the event that taught it (:meth:`RoutingAgent.spread_cures`).
 """
 
 from __future__ import annotations
@@ -183,12 +184,40 @@ class RoutingAgent(ProtocolHandler):
         for message in list(self.buffer.values()):
             self._try_forward_one(message, peer)
 
-    def _exchange_cures(self, peer_agent: "RoutingAgent", peer: Node) -> None:
-        """Pull the cures ``peer`` learned since the last contact and drop
-        the buffered messages they cure."""
+    def _exchange_cures(self, peer_agent: "RoutingAgent") -> None:
+        """Pull the cures the peer learned since the last contact, drop
+        the buffered messages they cure and pass them on."""
+        if self._pull_cures(peer_agent):
+            self.spread_cures()
+
+    def spread_cures(self) -> None:
+        """Hand the cures this node just learned to every node in
+        contact with it, and on from each node that learns something.
+
+        A relayed message crosses every open contact in the event that
+        brought it; so does a cure, and the copies it cures stop there.
+        Each pull costs what the puller has not seen of the teacher's
+        log, so a contact whose ends already agree costs one lookup.
+        """
+        nodes = self.node.network.nodes
+        teachers = [self]
+        while teachers:
+            teacher = teachers.pop()
+            for peer_id in teacher.node.neighbors:
+                learner = teacher.peer_agent(nodes[peer_id])
+                if learner is not None and learner._pull_cures(teacher):
+                    teachers.append(learner)
+
+    def _pull_cures(self, peer_agent: "RoutingAgent") -> list:
+        """Learn the live cures ``peer_agent`` learned since the last pull
+        from it and drop the buffered messages they cure; returns the
+        cures new to this node."""
         cures, theirs = self.cures, peer_agent.cures
-        if cures is not None and theirs is not None:
-            self._drop_cured(cures.pull(theirs, peer.node_id, self.node.sim.now))
+        if cures is None or theirs is None:
+            return []
+        learned = cures.pull(theirs, peer_agent.node.node_id, self.node.sim.now)
+        self._drop_cured(learned)
+        return learned
 
     def _drop_cured(self, keys) -> None:
         """Drop every buffered message waiting on one of the cures ``keys``."""

@@ -39,14 +39,14 @@ class EpidemicRouting(RoutingAgent):
         # The summary-vector handshake: resolve the peer's agent once and
         # offer only what it has not seen, in buffer order.  Same result
         # as asking should_forward per message: sends are delivered
-        # through the event heap, so the peer's seen set cannot change
-        # while this loop runs.  Cures are exchanged first, so nothing
+        # after this callback returns, so the peer's seen set cannot
+        # change while this loop runs.  Cures are exchanged first, so nothing
         # the peer knows is cured is offered.
         peer_agent = self.peer_agent(peer)
         if peer_agent is None:
             offers = [m for m in self.buffer.values() if m.dst == peer.node_id]
         else:
-            self._exchange_cures(peer_agent, peer)
+            self._exchange_cures(peer_agent)
             seen = peer_agent.seen
             offers = [m for mid, m in self.buffer.items() if mid not in seen]
         now = self.node.sim.now

@@ -3,7 +3,8 @@
 This package provides the deterministic discrete-event engine that every
 trace-driven experiment in this repository runs on:
 
-- :mod:`repro.sim.engine` -- the event heap and simulation clock.
+- :mod:`repro.sim.engine` -- the run loop (schedule, event heap and
+  same-time FIFO) and simulation clock.
 - :mod:`repro.sim.rng` -- named, reproducible random-number substreams.
 - :mod:`repro.sim.messages` -- message data model exchanged over contacts.
 - :mod:`repro.sim.node` -- protocol-hosting simulation nodes.

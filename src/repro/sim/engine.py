@@ -9,8 +9,12 @@ order, so a simulation with a fixed seed replays event-for-event.
 A fresh simulator can also take one presorted *schedule*
 (:meth:`Simulator.load_schedule`): events known before the run starts,
 such as a contact trace, kept in plain lists instead of as heap events.
-The run loop merges the schedule with the heap in the same
-(time, priority, insertion-order) order.
+Events due at the current time join a same-time FIFO
+(:meth:`Simulator.schedule_now`) instead of the heap: they can only run
+before the clock moves on, in the order they were queued.  The run loop
+merges its three sources -- schedule, heap and FIFO -- in the same
+(time, priority, insertion-order) order, so an event runs at the same
+place whichever source holds it.
 
 Times are plain floats in seconds.  The engine knows nothing about
 networks or traces; :mod:`repro.sim.network` builds on it.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from heapq import heappop
 from typing import Any, Callable, Optional, Sequence
 
@@ -141,6 +146,10 @@ class Simulator:
         self._sched_prios: Sequence[int] = ()
         self._sched_dispatch: Optional[Callable[[int], None]] = None
         self._sched_pos = 0
+        #: the same-time FIFO (see :meth:`schedule_now`): entries
+        #: ``(time, priority, seq, callback, args)``, all at ``now`` and
+        #: at one priority, so queue order is ``(priority, seq)`` order
+        self._fifo: deque[tuple[float, int, int, Callable[..., None], tuple]] = deque()
         #: optional :class:`repro.obs.bus.EventBus`.  Checked once per
         #: :meth:`run` call -- never inside the event loop -- so a run
         #: without a bus executes the exact pre-instrumentation loop.
@@ -158,9 +167,10 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events not yet run: schedule entries left plus heap
-        events (including cancelled ones)."""
-        return len(self._sched_prios) - self._sched_pos + len(self._heap)
+        """Number of events not yet run: schedule entries left, heap
+        events (including cancelled ones) and same-time FIFO entries."""
+        return (len(self._sched_prios) - self._sched_pos + len(self._heap)
+                + len(self._fifo))
 
     def schedule_at(
         self,
@@ -190,6 +200,27 @@ class Simulator:
         event = Event(float(time), priority, seq, callback, args, False, self)
         heapq.heappush(self._heap, (event.time, priority, seq, event))
         return event
+
+    def schedule_now(
+        self,
+        callback: Callable[..., None],
+        *args: Any,
+        priority: int = 0,
+    ) -> None:
+        """Schedule ``callback(*args)`` at ``now`` through the same-time
+        FIFO.
+
+        Runs exactly where ``schedule_at(now, callback, *args,
+        priority=priority)`` would have, without an :class:`Event` or a
+        heap push, and cannot be cancelled.  The FIFO holds one priority
+        at a time: while it holds entries of another priority, the call
+        falls back to the heap, which keeps the order exact.
+        """
+        fifo = self._fifo
+        if fifo and fifo[0][1] != priority:
+            self.schedule_at(self._now, callback, *args, priority=priority)
+            return
+        fifo.append((self._now, priority, next(self._seq), callback, args))
 
     def schedule_after(
         self,
@@ -227,7 +258,7 @@ class Simulator:
         :class:`SimulationError`.  A dispatched entry counts as an
         executed event.  Returns the number of entries loaded.
         """
-        if (self._running or self._heap or self._events_executed
+        if (self._running or self._heap or self._fifo or self._events_executed
                 or self._sched_dispatch is not None):
             raise SimulationError(
                 "load_schedule needs a fresh simulator: nothing pending "
@@ -293,15 +324,19 @@ class Simulator:
         """Execute events in order until nothing is left or limits hit.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
-        Returns the simulation time when the run stopped.  The clock
-        advances to ``until`` even when the events run out earlier, so a
-        subsequent ``run`` continues from there.
+        Returns the simulation time when the run stopped.  When no event
+        at or before ``until`` is left, the clock advances to ``until``,
+        so a subsequent ``run`` continues from there.  A run that
+        ``max_events`` stops leaves the clock at its last event, because
+        the events after it may still be due before ``until``.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         heap = self._heap
+        fifo = self._fifo
         heappop = heapq.heappop
+        popleft = fifo.popleft
         times = self._sched_times
         prios = self._sched_prios
         dispatch = self._sched_dispatch
@@ -314,28 +349,38 @@ class Simulator:
             executed = 0
             while True:
                 # The next schedule entry (the inf sentinel once none is
-                # left) runs unless the heap head is strictly earlier.
+                # left) runs unless the earlier of the FIFO and heap
+                # heads is strictly before it.
                 sched_time = times[pos]
-                if heap:
+                if fifo:
+                    head = fifo[0]
+                    from_fifo = not (heap and heap[0] < head)
+                    if not from_fifo:
+                        head = heap[0]
+                elif heap:
                     head = heap[0]
-                    time = head[0]
-                    from_heap = time < sched_time or (
-                        time == sched_time and head[1] < prios[pos])
+                    from_fifo = False
                 elif sched_time == _INF:
                     break
                 else:
-                    from_heap = False
-                if from_heap:
-                    if time > limit:
+                    head = None
+                if head is not None and (head[0] < sched_time or (
+                        head[0] == sched_time and head[1] < prios[pos])):
+                    if head[0] > limit:
                         break
-                    heappop(heap)
-                    event = head[3]
-                    if event.cancelled:
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
-                    self._now = time
-                    event.callback(*event.args)
+                    if from_fifo:
+                        # FIFO entries are due now: the clock stays
+                        popleft()
+                        head[3](*head[4])
+                    else:
+                        heappop(heap)
+                        event = head[3]
+                        if event.cancelled:
+                            if self._cancelled > 0:
+                                self._cancelled -= 1
+                            continue
+                        self._now = head[0]
+                        event.callback(*event.args)
                 else:
                     if sched_time > limit:
                         break
@@ -346,7 +391,7 @@ class Simulator:
                 self._events_executed += 1
                 executed += 1
                 if max_events is not None and executed >= max_events:
-                    break
+                    return self._now
             if until is not None and self._now < until:
                 self._now = until
             return self._now
@@ -368,22 +413,37 @@ class Simulator:
         # brackets itself with engine.run records, and the live service
         # calls step() once per event.
         heap = self._heap
+        fifo = self._fifo
         while True:
             pos = self._sched_pos
             sched_time = self._sched_times[pos]
-            if heap:
-                time, priority, _, event = heap[0]
-                if time < sched_time or (
-                        time == sched_time and priority < self._sched_prios[pos]):
-                    heappop(heap)
-                    if event.cancelled:
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
-                    self._now = time
-                    event.callback(*event.args)
+            if fifo:
+                head = fifo[0]
+                from_fifo = not (heap and heap[0] < head)
+                if not from_fifo:
+                    head = heap[0]
+            elif heap:
+                head = heap[0]
+                from_fifo = False
+            else:
+                head = None
+            if head is not None and (head[0] < sched_time or (
+                    head[0] == sched_time and head[1] < self._sched_prios[pos])):
+                if from_fifo:
+                    fifo.popleft()
+                    head[3](*head[4])
                     self._events_executed += 1
                     return True
+                time, _, _, event = head
+                heappop(heap)
+                if event.cancelled:
+                    if self._cancelled > 0:
+                        self._cancelled -= 1
+                    continue
+                self._now = time
+                event.callback(*event.args)
+                self._events_executed += 1
+                return True
             if sched_time == _INF:
                 return False
             dispatch = self._sched_dispatch
@@ -397,6 +457,9 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` if drained."""
+        if self._fifo:
+            # FIFO entries are due now, and nothing pending is earlier
+            return self._fifo[0][0]
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heappop(heap)

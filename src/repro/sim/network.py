@@ -9,8 +9,9 @@ model used by the paper-style evaluation, where contacts are long
 relative to message sizes), and :class:`BandwidthLimitedLink` enforces a
 per-contact byte budget derived from contact duration.
 
-Deliveries are flattened through the event heap (scheduled at the current
-time) so protocol ping-pong during a contact cannot recurse unboundedly.
+Deliveries are flattened through the simulator's same-time FIFO
+(:meth:`~repro.sim.engine.Simulator.schedule_now`) so protocol ping-pong
+during a contact cannot recurse unboundedly.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ class ContactNetwork:
         """Transfer ``message`` from ``sender`` to ``receiver``.
 
         Returns ``True`` when the transfer was admitted; delivery happens
-        through the event heap at the current simulation time.  Rejected
+        through the simulator's same-time FIFO, after the current
+        callback returns, at the current simulation time.  Rejected
         transfers (nodes not in contact, link budget exhausted, message
         TTL expired) are counted and dropped.
         """
@@ -412,25 +414,14 @@ class ContactNetwork:
             return True
         if self.trace is not None:
             # Deliver through a wrapper that emits msg.rx just before the
-            # receiver runs.  Scheduled at the same (time, priority) as the
-            # untraced path, so heap ordering -- and hence the metrics of a
-            # traced run -- are unchanged.
-            self.sim.schedule_at(
-                self.sim.now,
-                self._traced_delivery,
-                message,
-                sender,
-                receiver,
-                priority=_PRIORITY_DELIVERY,
-            )
+            # receiver runs.  Queued at the same (time, priority) as the
+            # untraced path, so the event order -- and hence the metrics
+            # of a traced run -- are unchanged.
+            self.sim.schedule_now(self._traced_delivery, message, sender,
+                                  receiver, priority=_PRIORITY_DELIVERY)
             return True
-        self.sim.schedule_at(
-            self.sim.now,
-            receiver.receive,
-            message,
-            sender,
-            priority=_PRIORITY_DELIVERY,
-        )
+        self.sim.schedule_now(receiver.receive, message, sender,
+                              priority=_PRIORITY_DELIVERY)
         return True
 
     def _emit_drop(self, message: Message, sender: Node, receiver: Node,

@@ -11,7 +11,10 @@ nothing else sees it) and checks, while the run goes and after it:
   knows is cured;
 - every cure names a query whose requester holds an answer, and expires
   at its issue time + 2 x query TTL;
-- after an expiry pass, no cure outlives that time.
+- after an expiry pass, no cure outlives that time;
+- after every event, the two ends of every open contact know the same
+  live cures (:meth:`QueryPlaneMonitor.check_contacts`, for runs driven
+  one event at a time).
 
 :func:`uncured_paths` swaps in test-local copies of the query-plane
 methods as they were before cures, the reference the cured plane's first
@@ -94,6 +97,24 @@ class QueryPlaneMonitor:
                     f"requester {message.src} carries its answered query "
                     f"{record.query_id} ({nid} -> {to})"
                 )
+
+    def check_contacts(self) -> None:
+        """Note every open contact whose two ends know different live
+        cures (expiry at or after now)."""
+        now = self.runtime.sim.now
+        live = {}
+        for nid, agent in self.agents.items():
+            if agent.cures is not None:
+                live[nid] = {query_id for query_id, expires_at
+                             in agent.cures.expires.items() if expires_at >= now}
+        for nid, mine in live.items():
+            for peer_id in self.runtime.nodes[nid].neighbors:
+                theirs = live.get(peer_id)
+                if peer_id > nid and theirs is not None and mine != theirs:
+                    self.violations.append(
+                        f"open contact {nid}-{peer_id} at {now}: cures "
+                        f"{sorted(mine ^ theirs)} known at one end only"
+                    )
 
     def check(self) -> list[str]:
         """The violations seen so far plus those of the final state,

@@ -6,6 +6,8 @@ is the heap path that schedule replaced: a start and an end heap event
 per contact, scheduled in contact order before anything else.  Both
 must execute the same ``(time, callback, args)`` sequence, whatever the
 protocol schedules on top and however the simulator is driven.
+:class:`HeapDeliveryNetwork` also delivers every message through the
+heap, the path the simulator's same-time FIFO replaced.
 """
 
 import math
@@ -56,6 +58,18 @@ class ReferenceNetwork(RecordingNetwork):
         for time, priority, callback, args in entries:
             self.sim.schedule_at(time, callback, *args, priority=priority)
         self.stats.counter("net.contacts_scheduled").add(len(entries) // 2)
+
+
+class HeapDeliveryNetwork(ReferenceNetwork):
+    """The reference with every delivery a heap event as well, as
+    ``transfer`` scheduled it before deliveries had their same-time FIFO."""
+
+    def __init__(self, sim, *args, **kwargs):
+        def schedule_now(callback, *call_args, priority=0):
+            sim.schedule_at(sim.now, callback, *call_args, priority=priority)
+
+        sim.schedule_now = schedule_now
+        super().__init__(sim, *args, **kwargs)
 
 
 class Chatter(ProtocolHandler):
@@ -176,6 +190,43 @@ class TestReferenceOrder:
         at_2 = [entry[1] for entry in actual.log if entry[0] == 2.0]
         assert at_2 == ["start", "start", "fire", "fire"] + [
             "rx", "fire"] * 4 + ["end", "end"] + ["fire"] * 6
+
+
+class TestDeliveryOrder:
+    """Deliveries queued in the same-time FIFO run where their heap
+    events did."""
+
+    @given(contacts, st.booleans(), plans,
+           st.sampled_from(["run", "chunks", "step"]), stops)
+    @settings(max_examples=100, deadline=None)
+    def test_executes_the_heap_order(self, raw, as_trace, plan, mode, stop):
+        trace = ContactTrace(raw, merge_overlaps=False) if as_trace else raw
+        expected = build(HeapDeliveryNetwork, trace, plan)
+        expected.sim.run()
+        actual = build(RecordingNetwork, trace, plan)
+        drive(actual, mode, stop)
+
+        assert actual.log == expected.log
+        assert actual.sim.events_executed == expected.sim.events_executed
+        assert actual.sim.pending == 0
+
+    @pytest.mark.parametrize("mode", ["run", "chunks", "step"])
+    def test_heap_event_scheduled_before_same_time_deliveries(self, mode):
+        """At 1 both ends of 0-1 schedule a priority-5 heap event for 2.
+        At 2 the contact 2-3 opens and both ends send: the deliveries
+        are queued after those older priority-5 events, and run after
+        them, ahead of the contact end at priority 10."""
+        raw = [Contact.make(0, 1, 1.0, 2.0), Contact.make(2, 3, 2.0, 3.0)]
+        plan = [(1.0, 5, None)]
+        expected = build(HeapDeliveryNetwork, raw, plan)
+        expected.sim.run()
+        actual = build(RecordingNetwork, raw, plan)
+        drive(actual, mode, [(2.0, 1), (2.0, 2), (2.0, 1)])
+        assert actual.log == expected.log
+        at_2 = [entry[1:] for entry in actual.log if entry[0] == 2.0]
+        assert at_2 == [("start", (2, 3, 1.0)), ("fire", (0, 1, 0)),
+                        ("fire", (1, 0, 0)), ("rx", (3, 2)), ("rx", (2, 3)),
+                        ("end", (0, 1))]
 
 
 class TestBadContacts:

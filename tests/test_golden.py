@@ -15,6 +15,14 @@ section also pins every first answer: per scenario, a SHA-256 over each
 version time and server, in issue order.  Query ids stay out of it,
 because they come from a process-wide counter.
 
+Three more sections pin what the query plane does around those answers:
+``faults`` holds the ``RunMetrics`` and first answers of the ``fast``
+world under a fault plan of crashes, link flaps and source outages;
+``transfers`` the transfer count per message kind of every run of the
+``fast`` and ``dense`` worlds, so a change that sends more responses
+fails here; and ``onpath-caching`` the ``RunMetrics`` of the committed
+scenario whose custody stores fill from the response copies in flight.
+
 A change that is meant to move outputs rewrites the file with
 ``PYTHONPATH=src python -m tests.test_golden`` and says why.
 """
@@ -32,6 +40,7 @@ import pytest
 from repro.core.scheme import SCHEMES
 from repro.experiments.config import DAY, Settings
 from repro.experiments.runner import RunMetrics, RunSpec, make_trace, prepare, score
+from repro.faults.plan import plan_from_dict
 from repro.mobility.calibration import get_profile
 from repro.scenarios.compose import compose_scenario
 from repro.scenarios.registry import load_scenario
@@ -56,6 +65,24 @@ SCENARIOS = {
 #: crowd.
 QUERY_SCENARIOS = ("dense", "fast", "flash-crowd")
 
+#: The ``faults`` world is the ``fast`` one under this plan: the
+#: ``[crashes]`` (over every node), ``[links]`` and ``[sources]`` tables
+#: of ``examples/faults/harsh.toml``.  Its ``[messages]`` table stays
+#: out, because message loss draws once per admitted transfer, so its
+#: draws shift whenever the number of transfers does.
+FAULT_PLAN = plan_from_dict({
+    "crashes": {"rate_per_day": 1.0, "mean_downtime_s": 7200.0,
+                "scope": "all", "cache": "wipe"},
+    "links": {"flap_rate": 0.2, "min_cut_fraction": 0.25,
+              "degrade_factor": 0.75},
+    "sources": {"outage_rate_per_day": 0.5, "mean_outage_s": 10800.0},
+})
+
+#: The committed scenario pinned by its ``RunMetrics`` alone: on-path
+#: custody caches the response copies that pass, so its metrics move
+#: with response traffic.
+ONPATH = "onpath-caching"
+
 #: Calibrated profiles built by the community generator, each drawn
 #: with ``default_rng(1)`` over its default horizon.
 PROFILES = ("infocom06", "reality", "small")
@@ -64,16 +91,21 @@ PROFILES = ("infocom06", "reality", "small")
 def scenario_specs(scenario: str):
     """Yield ``(spec, trace)`` for every run of ``scenario``.
 
-    A golden world runs every registered scheme, queries on, per seed;
-    a committed scenario runs its sweep points as ``repro scenario run``
+    A golden world runs every registered scheme, queries on, per seed
+    (the ``faults`` world: ``fast`` under :data:`FAULT_PLAN`); a
+    committed scenario runs its sweep points as ``repro scenario run``
     does (``trace`` ``None``: the seed's cached trace).
     """
+    plan = None
+    if scenario == "faults":
+        scenario, plan = "fast", FAULT_PLAN
     if scenario in SCENARIOS:
         settings = SCENARIOS[scenario]
         for seed in settings.seeds:
             trace = make_trace(settings, seed)
             for scheme in SCHEMES:
-                yield RunSpec(settings, seed, scheme, with_queries=True), trace
+                yield RunSpec(settings, seed, scheme, with_queries=True,
+                              fault_plan=plan), trace
         return
     _, points = compose_scenario(load_scenario(SCENARIO_DIR / f"{scenario}.toml"))
     for point in points:
@@ -89,10 +121,11 @@ def first_answer_line(record) -> str:
 
 
 @cache
-def outputs(scenario: str) -> tuple[list[dict], dict, list[str]]:
-    """``RunMetrics`` rows, the first-answer digest and the query-plane
-    invariant violations of every run of ``scenario``, from one pass."""
-    rows, violations = [], []
+def outputs(scenario: str) -> tuple[list[dict], dict, list[str], list[dict]]:
+    """``RunMetrics`` rows, the first-answer digest, the query-plane
+    invariant violations and the transfers by kind of every run of
+    ``scenario``, from one pass."""
+    rows, violations, transfers = [], [], []
     digest = hashlib.sha256()
     count = 0
     for spec, trace in scenario_specs(scenario):
@@ -105,7 +138,13 @@ def outputs(scenario: str) -> tuple[list[dict], dict, list[str]]:
             count += 1
         violations += [f"seed {spec.seed} {runtime.config.name}: {v}"
                        for v in monitor.check()]
-    return rows, {"queries": count, "sha256": digest.hexdigest()}, violations
+        sent = {name.removeprefix("net.transfers."): int(value)
+                for name, value in runtime.stats.counters().items()
+                if name.startswith("net.transfers.")}
+        transfers.append({"scheme": runtime.config.name, "seed": spec.seed,
+                          **sent})
+    answers = {"queries": count, "sha256": digest.hexdigest()}
+    return rows, answers, violations, transfers
 
 
 def run_metrics(scenario: str) -> list[dict]:
@@ -127,7 +166,18 @@ def compute() -> dict:
         "runs": {name: run_metrics(name) for name in SCENARIOS},
         "queries": {name: outputs(name)[1] for name in QUERY_SCENARIOS},
         "traces": {name: trace_digest(name) for name in PROFILES},
+        "faults": {"runs": run_metrics("faults"),
+                   "queries": outputs("faults")[1]},
+        "transfers": {name: outputs(name)[3] for name in SCENARIOS},
+        ONPATH: run_metrics(ONPATH),
     }
+
+
+def assert_same_metrics(actual: list[dict], expected: list[dict]) -> None:
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        got, want = RunMetrics(**got), RunMetrics(**want)
+        assert got.same_as(want), (got, want)
 
 
 @pytest.fixture(scope="module")
@@ -137,11 +187,8 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_run_metrics_match_golden(golden, scenario):
-    expected = [RunMetrics(**row) for row in golden["runs"][scenario]]
+    assert_same_metrics(run_metrics(scenario), golden["runs"][scenario])
     actual = [RunMetrics(**row) for row in run_metrics(scenario)]
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got.same_as(want), (got, want)
     # the scenario exercises the protocol: refreshes flow and answer
     assert any(m.messages > 0 and m.freshness > 0 for m in actual)
     assert any(m.queries_issued > 0 and not math.isnan(m.query_answer_ratio)
@@ -155,9 +202,26 @@ def test_first_answers_match_golden(golden, scenario):
     assert outputs(scenario)[1] == pinned
 
 
-@pytest.mark.parametrize("scenario", QUERY_SCENARIOS)
+@pytest.mark.parametrize("scenario", QUERY_SCENARIOS + ("faults",))
 def test_query_plane_invariants_hold(scenario):
     assert outputs(scenario)[2] == []
+
+
+def test_faulted_world_matches_golden(golden):
+    pinned = golden["faults"]
+    assert_same_metrics(run_metrics("faults"), pinned["runs"])
+    assert outputs("faults")[1] == pinned["queries"]
+    # the plan does inject: crashes change what the fast world answers
+    assert pinned["queries"] != golden["queries"]["fast"]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_transfers_by_kind_match_golden(golden, scenario):
+    assert outputs(scenario)[3] == golden["transfers"][scenario]
+
+
+def test_onpath_caching_matches_golden(golden):
+    assert_same_metrics(run_metrics(ONPATH), golden[ONPATH])
 
 
 @pytest.mark.parametrize("name", PROFILES)

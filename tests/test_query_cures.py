@@ -104,6 +104,11 @@ def chain(*contacts):
                         node_ids=[0, 1, 2, 3, 4, 9])
 
 
+def holders(agents, nids=(1, 2, 3, 4)):
+    """The nodes among ``nids`` that buffer a response."""
+    return [nid for nid in nids if agents[nid].buffer]
+
+
 class TestCuredPlane:
     def test_cure_spreads_back_along_the_response_path(self):
         # query 0 -> 1 -> 2 -> 3 (holder); response 3 -> 2 -> 1 -> 0
@@ -114,16 +119,96 @@ class TestCuredPlane:
         ), holder=3, ttl=1000.0)
         net.sim.run(until=5.0)
         record = managers[0].issue_query(0)
-        net.sim.run(until=300.0)
+        net.sim.run(until=209.0)
+        assert holders(agents) == [1, 2, 3]
+        # node 1 is in contact with the requester when the answer
+        # arrives, so it drops its copy in that event; 2 and 3 drop
+        # theirs at their next contact with a node that knows the cure
+        net.sim.run(until=210.0)
         assert record.answered_at == 210.0 and record.served_by == 3
         assert managers[0].cures.expires == {record.query_id: 5.0 + 2000.0}
-        held = [nid for nid in (1, 2, 3) if agents[nid].buffer]
-        assert held == [1, 2, 3]
-        net.sim.run(until=400.0)
+        assert holders(agents) == [2, 3]
+        net.sim.run(until=329.0)
+        assert holders(agents) == [2, 3]
+        net.sim.run(until=330.0)
+        assert holders(agents) == [3]
+        net.sim.run(until=349.0)
+        assert holders(agents) == [3]
+        net.sim.run(until=350.0)
+        assert holders(agents) == []
         for nid in (1, 2, 3):
             assert record.query_id in managers[nid].cures
-            assert not agents[nid].buffer
             assert agents[nid].stats.counter_value("routing.dropped_cured") == 1
+
+    def chain_world(self):
+        """Copies at 1, 2, 3 (holder) and 4; at 250 the answer reaches
+        the requester 0 over the chain 0-1-2-3 of open contacts, while
+        4's only contact closed at 150 and its next opens at 400."""
+        net, managers, agents = wire(chain(
+            (0, 1, 10, 20), (1, 2, 30, 40), (2, 3, 50, 60),
+            (1, 2, 130, 140), (2, 4, 140, 150),
+            (1, 2, 200, 300), (2, 3, 200, 300), (0, 1, 250, 260),
+            (1, 4, 400, 410),
+        ), holder=3, ttl=1000.0)
+        net.sim.run(until=5.0)
+        record = managers[0].issue_query(0)
+        net.sim.run(until=249.0)
+        assert holders(agents) == [1, 2, 3, 4]
+        return net, managers, agents, record
+
+    def test_cure_crosses_a_chain_of_open_contacts_in_one_event(self):
+        net, managers, agents, record = self.chain_world()
+        net.sim.run(until=250.0)
+        assert record.answered_at == 250.0
+        assert holders(agents, (1, 2, 3)) == []
+        for nid in (1, 2, 3):
+            assert record.query_id in managers[nid].cures
+            assert agents[nid].stats.counter_value("routing.dropped_cured") == 1
+        sent = [t for t in net.transfers if t.kind == "response"]
+        assert max(t.time for t in sent) == 250.0
+
+    def test_node_out_of_contact_learns_the_cure_at_its_next_contact(self):
+        net, managers, agents, record = self.chain_world()
+        net.sim.run(until=399.0)
+        assert record.query_id not in managers[4].cures
+        assert holders(agents) == [4]
+        net.sim.run(until=400.0)
+        assert record.query_id in managers[4].cures
+        assert holders(agents) == []
+        assert not [t for t in net.transfers
+                    if t.kind == "response" and t.sender == 4]
+
+    def test_a_pulled_cure_crosses_the_puller_s_open_contacts(self):
+        # 4 takes a copy from 2 and stays in contact with it; when 2
+        # pulls the cure from 1 at 330, 4 drops its copy in that event
+        net, managers, agents = wire(chain(
+            (0, 1, 10, 20), (1, 2, 30, 40), (2, 3, 50, 60),
+            (1, 2, 130, 140), (0, 1, 210, 220),
+            (2, 4, 300, 400), (1, 2, 330, 340),
+        ), holder=3, ttl=1000.0)
+        net.sim.run(until=5.0)
+        record = managers[0].issue_query(0)
+        net.sim.run(until=329.0)
+        assert holders(agents) == [2, 3, 4]
+        net.sim.run(until=330.0)
+        assert holders(agents) == [3]
+        assert record.query_id in managers[4].cures
+
+    def test_expired_cure_is_never_handed_on(self):
+        # 0 asks 3 directly; the cure expires at 5 + 2 x 100 = 205, but
+        # 3 keeps it until its own next expiry pass
+        net, managers, _ = wire(chain(
+            (0, 3, 10, 20), (1, 2, 290, 320), (2, 3, 300, 310),
+        ), holder=3, ttl=100.0)
+        net.sim.run(until=5.0)
+        record = managers[0].issue_query(0)
+        net.sim.run(until=20.0)
+        assert record.answered_at == 10.0
+        assert managers[3].cures.expires == {record.query_id: 205.0}
+        # at 300, 2 pulls from 3 before 3 expires its own cures
+        net.sim.run(until=300.0)
+        for nid in (1, 2):
+            assert managers[nid].cures.expires == {}
 
     def test_requester_does_not_take_back_its_answered_query(self):
         net, managers, _ = wire(chain(
@@ -183,6 +268,12 @@ def query_worlds(draw):
 
 
 def run_world(world, monitored=False):
+    """First answers, refresh transfers, query-plane transfers by kind
+    and, ``monitored``, the invariant violations of one world's run.
+
+    A monitored run is driven with ``step()`` and checks the open
+    contacts after every event; the unmonitored reference uses ``run``.
+    """
     (n, seed, mean_rate, sparsity, num_items, num_caching, scheme, ttl,
      hop_limit, queries_per_day, everyone_asks) = world
     horizon = 2 * DAY
@@ -207,6 +298,13 @@ def run_world(world, monitored=False):
         requesters=sorted(runtime.nodes) if everyone_asks else None,
     )
     monitor = QueryPlaneMonitor(runtime) if monitored else None
+    if monitored:
+        # one event at a time, checking the open contacts after each
+        runtime.network.start()
+        sim = runtime.sim
+        while (next_time := sim.peek_time()) is not None and next_time <= horizon:
+            sim.step()
+            monitor.check_contacts()
     runtime.run(until=horizon)
     answers = [
         (r.requester, r.item_id, r.issued_at, r.answered_at, r.version,

@@ -98,6 +98,43 @@ class TestRun:
         sim.run(max_events=2)
         assert seen == [0, 1]
 
+    def test_max_events_stop_keeps_the_clock(self):
+        """A run that ``max_events`` stops must not move the clock to
+        ``until``: the events after its last are still due before it."""
+        sim = Simulator()
+        seen = []
+        for t in (1.0, 2.0, 3.0, 50.0):
+            sim.schedule_at(t, seen.append, t)
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert (sim.now, sim.peek_time(), sim.pending) == (1.0, 2.0, 3)
+        sim.schedule_at(5.0, seen.append, 5.0)
+        clock = []
+        sim.schedule_at(2.0, lambda: clock.append(sim.now))
+        assert sim.run(until=10.0) == 10.0
+        assert seen == [1.0, 2.0, 3.0, 5.0] and clock == [2.0]
+        assert sim.pending == 1
+
+    def test_max_events_stop_with_same_time_entries_left(self):
+        sim = Simulator()
+        seen = []
+
+        def deliver():
+            seen.append("sent")
+            for tag in ("a", "b"):
+                sim.schedule_now(seen.append, tag, priority=5)
+
+        sim.schedule_at(1.0, deliver)
+        assert sim.run(until=10.0, max_events=2) == 1.0
+        assert seen == ["sent", "a"] and sim.pending == 1
+        assert sim.run(until=10.0) == 10.0
+        assert seen == ["sent", "a", "b"]
+
+    def test_max_events_stop_at_the_last_event_keeps_the_clock(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert sim.run(until=10.0) == 10.0
+
     def test_events_executed_counts_only_run_events(self):
         sim = Simulator()
         event = sim.schedule_at(1.0, lambda: None)
@@ -182,6 +219,127 @@ class TestEventOrderingProperty:
             sim.schedule_at(t, lambda: observed.append(sim.now))
         sim.run()
         assert observed == sorted(observed)
+
+
+class TestSameTimeFifo:
+    """``schedule_now`` runs exactly where ``schedule_at(now)`` would."""
+
+    def test_merges_with_heap_and_schedule_by_priority_then_seq(self):
+        sim = Simulator()
+        fired = []
+        sim.load_schedule([1.0, 1.0], [0, 5], fired.append)
+
+        def burst():
+            fired.append("burst")
+            sim.schedule_now(fired.append, "fifo-1", priority=5)
+            sim.schedule_at(1.0, fired.append, "heap-0", priority=0)
+            sim.schedule_at(1.0, fired.append, "heap-5", priority=5)
+            sim.schedule_now(fired.append, "fifo-2", priority=5)
+            sim.schedule_at(1.0, fired.append, "heap-10", priority=10)
+
+        sim.schedule_at(1.0, fired.append, "early-5", priority=5)
+        sim.schedule_at(1.0, burst)
+        sim.run()
+        assert fired == [0, "burst", "heap-0", 1, "early-5", "fifo-1",
+                         "heap-5", "fifo-2", "heap-10"]
+        assert sim.events_executed == 9
+
+    def test_other_priority_keeps_its_place(self):
+        sim = Simulator()
+        fired = []
+
+        def burst():
+            sim.schedule_now(fired.append, "five", priority=5)
+            sim.schedule_now(fired.append, "zero", priority=0)
+            sim.schedule_now(fired.append, "five-again", priority=5)
+            sim.schedule_now(fired.append, "ten", priority=10)
+
+        sim.schedule_at(2.0, burst)
+        sim.run()
+        assert fired == ["zero", "five", "five-again", "ten"]
+
+    def test_step_peek_and_pending_see_the_fifo(self):
+        sim = Simulator()
+        fired = []
+
+        def burst():
+            sim.schedule_now(fired.append, "a", priority=5)
+            sim.schedule_now(fired.append, "b", priority=5)
+
+        sim.schedule_at(1.0, burst)
+        sim.schedule_at(3.0, fired.append, "later")
+        assert sim.step()
+        assert (sim.peek_time(), sim.pending) == (1.0, 3)
+        assert sim.step() and fired == ["a"]
+        assert sim.step() and fired == ["a", "b"]
+        assert sim.peek_time() == 3.0
+        assert sim.step() and not sim.step()
+        assert fired == ["a", "b", "later"] and sim.events_executed == 4
+
+    def test_load_schedule_needs_an_empty_fifo(self):
+        sim = Simulator()
+        sim.schedule_now(lambda: None)
+        with pytest.raises(SimulationError, match="fresh simulator"):
+            sim.load_schedule([1.0], [0], lambda pos: None)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5]),
+                st.sampled_from([0, 5, 5, 10]),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from(["run", "chunks", "step"]),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_order_as_schedule_at_now(self, plan, mode, chunk):
+        """Every callback schedules ``plan``'s children, those due now
+        through the FIFO; the run must match the all-heap run, however
+        it is driven."""
+
+        def build(use_fifo):
+            sim = Simulator()
+            log = []
+
+            def fire(tag, depth):
+                log.append((sim.now, tag))
+                if depth >= 2:
+                    return
+                for k, (delay, priority, fan) in enumerate(plan):
+                    for j in range(fan):
+                        child = f"{tag}.{k}{j}"
+                        if delay == 0.0 and use_fifo:
+                            sim.schedule_now(fire, child, depth + 1,
+                                             priority=priority)
+                        else:
+                            sim.schedule_at(sim.now + delay, fire, child,
+                                            depth + 1, priority=priority)
+
+            sim.load_schedule([0.0, 1.0, 1.0], [0, 5, 10],
+                              lambda pos: fire(f"s{pos}", 1))
+            sim.schedule_at(0.0, fire, "root", 0, priority=5)
+            return sim, log
+
+        expected_sim, expected = build(False)
+        expected_sim.run()
+        sim, log = build(True)
+        if mode == "run":
+            sim.run()
+        elif mode == "chunks":
+            until = 0.0
+            while sim.pending:
+                sim.run(until=until, max_events=chunk)
+                until += 0.5
+        else:
+            while sim.step():
+                pass
+        assert log == expected
+        assert sim.events_executed == expected_sim.events_executed
+        assert sim.pending == 0
 
 
 class TestEventDataclass:
