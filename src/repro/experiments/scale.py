@@ -17,12 +17,13 @@ The build phase is timed in three stages -- synthesis (drawing the
 contact schedule), estimation (pairwise MLE rates) and construction
 (NCL selection, trees, relay plans, the event stream) -- and the result
 carries both the split and a ``build_contacts_per_sec`` throughput.  The
-``soa`` backend runs the whole build array-natively on a
-:class:`~repro.mobility.arrays.ContactArrays` trace; the ``object``
-backend, which cannot consume arrays, builds from ``Contact`` objects
-(the two produce identical simulations -- the equivalence tests rely on
-it).  The points draw uniform random pairs, so they carry almost no
-protocol traffic: they measure the executor, not the scheme.
+schedule is always drawn as a
+:class:`~repro.mobility.arrays.ContactArrays` trace; the ``soa`` backend
+runs the whole build array-natively on it, and the ``object`` backend,
+which cannot consume arrays, builds from its ``Contact`` objects (the two
+produce identical simulations -- the equivalence tests rely on it).  The
+points draw uniform random pairs, so they carry almost no protocol
+traffic: they measure the executor, not the scheme.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ import json
 import resource
 import sys
 import time
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.caching.items import DataCatalog
 from repro.contacts.rates import mle_rates
 from repro.mobility.arrays import ContactArrays
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 DAY = 24 * 3600.0
 
@@ -47,17 +48,18 @@ DAY = 24 * 3600.0
 CONTACT_DURATION = 300.0
 
 
-def _draw_schedule(
+def synthetic_arrays(
     num_nodes: int,
-    contacts_per_node: float,
-    duration: float,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The raw contact draws shared by both trace representations.
+    contacts_per_node: float = 20.0,
+    duration: float = 2 * DAY,
+    seed: int = 0,
+) -> ContactArrays:
+    """A sparse random contact schedule over ``num_nodes`` devices.
 
     Pairs are uniform (an Erdos-Renyi style mixing pattern -- adequate
     for throughput measurement, which only cares about event volume and
-    how many events touch protocol-active nodes).
+    how many events touch protocol-active nodes).  Every node id in
+    ``range(num_nodes)`` exists even if it drew no contacts.
     """
     rng = np.random.default_rng(seed)
     total = int(num_nodes * contacts_per_node / 2)
@@ -67,7 +69,11 @@ def _draw_schedule(
     start = rng.uniform(0.0, duration, total)
     length = rng.exponential(CONTACT_DURATION, total)
     end = np.minimum(start + np.maximum(length, 1.0), duration + CONTACT_DURATION)
-    return start, end, a, b
+    return ContactArrays(
+        start, end, a, b,
+        node_ids=np.arange(num_nodes),
+        name=f"synthetic-{num_nodes}",
+    )
 
 
 def synthetic_trace(
@@ -76,62 +82,19 @@ def synthetic_trace(
     duration: float = 2 * DAY,
     seed: int = 0,
 ) -> ContactTrace:
-    """A sparse random contact schedule over ``num_nodes`` devices.
-
-    Every node id in ``range(num_nodes)`` exists even if it drew no
-    contacts.  Materialises per-contact objects; prefer
-    :func:`synthetic_arrays` above ~10k nodes.
-    """
-    start, end, a, b = _draw_schedule(num_nodes, contacts_per_node,
-                                      duration, seed)
-    contacts = [
-        Contact.make(int(ai), int(bi), float(si), float(ei))
-        for ai, bi, si, ei in zip(a, b, start, end)
-    ]
-    return ContactTrace(
-        contacts,
-        node_ids=range(num_nodes),
-        name=f"synthetic-{num_nodes}",
-    )
+    """:func:`synthetic_arrays` as ``Contact`` objects."""
+    return synthetic_arrays(num_nodes, contacts_per_node, duration,
+                            seed).to_trace()
 
 
-def synthetic_arrays(
-    num_nodes: int,
-    contacts_per_node: float = 20.0,
-    duration: float = 2 * DAY,
-    seed: int = 0,
-) -> ContactArrays:
-    """:func:`synthetic_trace` without the ``Contact`` objects.
-
-    Identical draws, identical normalise/sort/merge semantics:
-    ``synthetic_arrays(...).to_trace()`` equals ``synthetic_trace(...)``
-    contact-for-contact for any seed.
-    """
-    start, end, a, b = _draw_schedule(num_nodes, contacts_per_node,
-                                      duration, seed)
-    return ContactArrays(
-        start, end, a, b,
-        node_ids=np.arange(num_nodes),
-        name=f"synthetic-{num_nodes}",
-    )
-
-
-def _pick_sources(
-    trace: Union[ContactTrace, ContactArrays], num_sources: int
-) -> list[int]:
+def _pick_sources(trace: ContactArrays, num_sources: int) -> list[int]:
     """Median-degree nodes, mirroring ``choose_sources``' intent (the
     sources are ordinary devices, not hubs) without the full centrality
     machinery."""
-    if isinstance(trace, ContactArrays):
-        degree = (
-            np.bincount(trace.a, minlength=trace.num_nodes)
-            + np.bincount(trace.b, minlength=trace.num_nodes)
-        ).astype(np.int64)
-    else:
-        degree = np.zeros(trace.num_nodes, dtype=np.int64)
-        for contact in trace:
-            degree[contact.a] += 1
-            degree[contact.b] += 1
+    degree = (
+        np.bincount(trace.a, minlength=trace.num_nodes)
+        + np.bincount(trace.b, minlength=trace.num_nodes)
+    ).astype(np.int64)
     ranked = np.argsort(-degree, kind="stable")
     mid = len(ranked) // 2
     half = num_sources // 2
@@ -155,18 +118,18 @@ def run_scale_point(
     JSON-ready result dict.
 
     The soa backend builds from :func:`synthetic_arrays`, the object
-    backend from :func:`synthetic_trace`.
+    backend from their ``Contact`` objects.
     """
     from repro.core.scheme import build_simulation
 
     t0 = time.perf_counter()
-    synthesise = synthetic_arrays if backend == "soa" else synthetic_trace
-    trace = synthesise(
+    arrays = synthetic_arrays(
         num_nodes, contacts_per_node=contacts_per_node,
         duration=duration, seed=seed,
     )
+    trace = arrays if backend == "soa" else arrays.to_trace()
     t1 = time.perf_counter()
-    sources = _pick_sources(trace, num_sources)
+    sources = _pick_sources(arrays, num_sources)
     catalog = DataCatalog.uniform(
         num_items=num_items,
         sources=sources,

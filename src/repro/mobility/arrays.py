@@ -19,8 +19,8 @@ Construction reproduces :class:`ContactTrace`'s semantics bit for bit:
 * rows are sorted by the ``(start, end, a, b)`` tuple order.
 
 ``ContactArrays.from_trace(t).to_trace()`` round-trips losslessly, and
-the equivalence is enforced by tests (chunked vs monolithic generation,
-array vs object synthesis in ``experiments/scale``).
+the equivalence is enforced by tests (normalisation against
+``ContactTrace``, chunked generation against per-contact references).
 """
 
 from __future__ import annotations

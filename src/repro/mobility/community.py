@@ -133,25 +133,9 @@ class DiurnalModel:
         return float(self.activity[hour])
 
     def generate(self, duration: float, rng: np.random.Generator) -> ContactTrace:
-        """Thin the peak-rate candidate trace by time-of-day activity.
-
-        One uniform is drawn per candidate contact, in trace order --
-        the same stream :meth:`generate_chunks` reads, so both keep the
-        same contacts.
-        """
-        candidate = self._peak_model.generate(duration, rng)
-        m = len(candidate)
-        if m:
-            u = rng.random(m)
-            starts = np.fromiter(
-                (c.start for c in candidate), dtype=float, count=m
-            )
-            hours = (starts // 3600.0).astype(np.int64) % 24
-            keep = u < self.activity[hours]
-            kept = [c for c, k in zip(candidate.contacts, keep.tolist()) if k]
-        else:
-            kept = []
-        return ContactTrace(kept, node_ids=self.node_ids, name=self.name)
+        """Generate a trace over ``[0, duration]`` seconds (see
+        :meth:`generate_chunks`)."""
+        return self.generate_arrays(duration, rng).to_trace()
 
     def generate_chunks(
         self,
@@ -159,13 +143,14 @@ class DiurnalModel:
         rng: np.random.Generator,
         chunk_contacts: int = DEFAULT_CHUNK_CONTACTS,
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Chunked thinned generation, bit-identical to :meth:`generate`.
+        """Yield the thinned trace as lexsorted ``(start, end, a, b)`` blocks.
 
-        The RNG contract requires every candidate draw to happen before
-        any thinning uniform, and the uniforms to be consumed in global
-        trace order -- so the candidate blocks are generated first,
-        assembled sorted, and then thinned slice by slice (consecutive
-        ``rng.random(k)`` calls read the same stream as one big draw).
+        Every candidate is drawn before any thinning uniform, and one
+        uniform is drawn per candidate in global trace order -- so the
+        candidate blocks are generated first, assembled sorted, and then
+        thinned slice by slice (consecutive ``rng.random(k)`` calls read
+        the same stream as one big draw, so the block size does not
+        change the trace).
         """
         candidate = ContactArrays.from_blocks(
             self._peak_model.generate_chunks(duration, rng, chunk_contacts=chunk_contacts),

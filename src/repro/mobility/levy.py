@@ -12,8 +12,9 @@ directly:
    are faster -- the vehicular regime), reflecting off the arena walls;
 3. pause for a truncated-Pareto time (exponent ``beta``) and repeat.
 
-Contacts are derived geometrically exactly like
-:class:`~repro.mobility.rwp.RandomWaypointModel`: positions are sampled
+Contacts are derived geometrically by the extractor
+:class:`~repro.mobility.rwp.RandomWaypointModel` uses,
+:func:`~repro.mobility.rwp.proximity_chunks`: positions are sampled
 every ``sample_interval`` seconds and a contact spans every maximal run
 of samples in which two nodes sit within ``radio_range``.  The
 heavy-tailed flights produce the bursty, long-range re-mixing that makes
@@ -27,8 +28,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.mobility.arrays import ContactArrays
+from repro.mobility.rwp import proximity_chunks
 from repro.mobility.synthetic import DEFAULT_CHUNK_CONTACTS
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 
 def truncated_pareto(
@@ -185,31 +187,7 @@ class LevyWalkModel:
 
     def generate(self, duration: float, rng: np.random.Generator) -> ContactTrace:
         """Derive contact intervals from sampled proximity."""
-        samples = self.positions(duration, rng)
-        num_samples = samples.shape[0]
-        dt = self.sample_interval
-        open_since: dict[tuple[int, int], float] = {}
-        contacts: list[Contact] = []
-        range2 = self.radio_range**2
-        iu = np.triu_indices(self.n, k=1)
-        for k in range(num_samples):
-            t = k * dt
-            pts = samples[k]
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist2 = (diff**2).sum(axis=2)
-            near = dist2 <= range2
-            for i, j in zip(*iu):
-                pair = (int(i), int(j))
-                if near[i, j]:
-                    open_since.setdefault(pair, t)
-                elif pair in open_since:
-                    start = open_since.pop(pair)
-                    contacts.append(Contact.make(pair[0], pair[1], start, t))
-        horizon = (num_samples - 1) * dt
-        for pair, start in open_since.items():
-            if horizon > start:
-                contacts.append(Contact.make(pair[0], pair[1], start, horizon))
-        return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
+        return self.generate_arrays(duration, rng).to_trace()
 
     def generate_chunks(
         self,
@@ -217,46 +195,12 @@ class LevyWalkModel:
         rng: np.random.Generator,
         chunk_contacts: int = DEFAULT_CHUNK_CONTACTS,
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield the trace as lexsorted ``(start, end, a, b)`` blocks.
-
-        Contact extraction consumes no RNG (only :meth:`positions`
-        does), so the emitted interval set is exactly :meth:`generate`'s,
-        discovered in close-time order before the per-block sort --
-        the same contract as the other chunked generators.
-        """
-        samples = self.positions(duration, rng)
-        num_samples = samples.shape[0]
-        dt = self.sample_interval
-        range2 = self.radio_range**2
-        iu_i, iu_j = np.triu_indices(self.n, k=1)
-        open_mask = np.zeros(len(iu_i), dtype=bool)
-        open_start = np.zeros(len(iu_i), dtype=np.float64)
-        buf: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        buffered = 0
-        for k in range(num_samples):
-            t = k * dt
-            pts = samples[k]
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist2 = (diff**2).sum(axis=2)
-            near = dist2[iu_i, iu_j] <= range2
-            closes = open_mask & ~near
-            if bool(closes.any()):
-                s = open_start[closes]
-                buf.append((s, np.full(len(s), t), iu_i[closes], iu_j[closes]))
-                buffered += len(s)
-            opens = near & ~open_mask
-            open_start[opens] = t
-            open_mask = near
-            if buffered >= chunk_contacts:
-                yield _flush(buf)
-                buf, buffered = [], 0
-        horizon = (num_samples - 1) * dt
-        final = open_mask & (open_start < horizon)
-        if bool(final.any()):
-            s = open_start[final]
-            buf.append((s, np.full(len(s), horizon), iu_i[final], iu_j[final]))
-        if buf:
-            yield _flush(buf)
+        """Yield the trace as lexsorted ``(start, end, a, b)`` blocks
+        (see :func:`~repro.mobility.rwp.proximity_chunks`)."""
+        yield from proximity_chunks(
+            self.positions(duration, rng), self.sample_interval,
+            self.radio_range, chunk_contacts,
+        )
 
     def generate_arrays(
         self,
@@ -277,13 +221,3 @@ class LevyWalkModel:
             merge_overlaps=False,
         )
 
-
-def _flush(
-    buf: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    s = np.concatenate([p[0] for p in buf])
-    e = np.concatenate([p[1] for p in buf])
-    a = np.concatenate([p[2] for p in buf])
-    b = np.concatenate([p[3] for p in buf])
-    order = np.lexsort((b, a, e, s))
-    return s[order], e[order], a[order], b[order]

@@ -10,7 +10,8 @@ mobility model whose contacts have realistic spatial correlation.
 Nodes move on a square of side ``area``: pick a uniform waypoint, move
 toward it at a speed uniform in ``[speed_min, speed_max]``, optionally
 pause, repeat.  Positions are sampled every ``sample_interval`` seconds
-and contact intervals are built from the sampled proximity indicator.
+and :func:`proximity_chunks` builds contact intervals from the sampled
+proximity indicator; the Levy-walk model reuses it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.synthetic import DEFAULT_CHUNK_CONTACTS
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 
 class RandomWaypointModel:
@@ -56,6 +57,8 @@ class RandomWaypointModel:
 
     def positions(self, duration: float, rng: np.random.Generator) -> np.ndarray:
         """Sampled positions, shape ``(num_samples, n, 2)``."""
+        if duration <= 0:
+            raise ValueError("duration must be positive")
         num_samples = int(duration / self.sample_interval) + 1
         pos = rng.random((self.n, 2)) * self.area
         target = rng.random((self.n, 2)) * self.area
@@ -84,31 +87,7 @@ class RandomWaypointModel:
 
     def generate(self, duration: float, rng: np.random.Generator) -> ContactTrace:
         """Derive contact intervals from sampled proximity."""
-        samples = self.positions(duration, rng)
-        num_samples = samples.shape[0]
-        dt = self.sample_interval
-        open_since: dict[tuple[int, int], float] = {}
-        contacts: list[Contact] = []
-        range2 = self.radio_range**2
-        for k in range(num_samples):
-            t = k * dt
-            pts = samples[k]
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist2 = (diff**2).sum(axis=2)
-            near = dist2 <= range2
-            iu = np.triu_indices(self.n, k=1)
-            for i, j in zip(*iu):
-                pair = (int(i), int(j))
-                if near[i, j]:
-                    open_since.setdefault(pair, t)
-                elif pair in open_since:
-                    start = open_since.pop(pair)
-                    contacts.append(Contact.make(pair[0], pair[1], start, t))
-        horizon = (num_samples - 1) * dt
-        for pair, start in open_since.items():
-            if horizon > start:
-                contacts.append(Contact.make(pair[0], pair[1], start, horizon))
-        return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
+        return self.generate_arrays(duration, rng).to_trace()
 
     def generate_chunks(
         self,
@@ -116,47 +95,12 @@ class RandomWaypointModel:
         rng: np.random.Generator,
         chunk_contacts: int = DEFAULT_CHUNK_CONTACTS,
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield the trace as lexsorted ``(start, end, a, b)`` blocks.
-
-        Contact extraction consumes no RNG (only :meth:`positions`
-        does), so the open/close bookkeeping can run on whole pair
-        vectors per sample; the emitted interval set is exactly
-        :meth:`generate`'s, just discovered in close-time order before
-        the per-block sort.
-        """
-        samples = self.positions(duration, rng)
-        num_samples = samples.shape[0]
-        dt = self.sample_interval
-        range2 = self.radio_range**2
-        iu_i, iu_j = np.triu_indices(self.n, k=1)
-        open_mask = np.zeros(len(iu_i), dtype=bool)
-        open_start = np.zeros(len(iu_i), dtype=np.float64)
-        buf: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        buffered = 0
-        for k in range(num_samples):
-            t = k * dt
-            pts = samples[k]
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist2 = (diff**2).sum(axis=2)
-            near = dist2[iu_i, iu_j] <= range2
-            closes = open_mask & ~near
-            if bool(closes.any()):
-                s = open_start[closes]
-                buf.append((s, np.full(len(s), t), iu_i[closes], iu_j[closes]))
-                buffered += len(s)
-            opens = near & ~open_mask
-            open_start[opens] = t
-            open_mask = near
-            if buffered >= chunk_contacts:
-                yield _flush(buf)
-                buf, buffered = [], 0
-        horizon = (num_samples - 1) * dt
-        final = open_mask & (open_start < horizon)
-        if bool(final.any()):
-            s = open_start[final]
-            buf.append((s, np.full(len(s), horizon), iu_i[final], iu_j[final]))
-        if buf:
-            yield _flush(buf)
+        """Yield the trace as lexsorted ``(start, end, a, b)`` blocks
+        (see :func:`proximity_chunks`)."""
+        yield from proximity_chunks(
+            self.positions(duration, rng), self.sample_interval,
+            self.radio_range, chunk_contacts,
+        )
 
     def generate_arrays(
         self,
@@ -176,6 +120,58 @@ class RandomWaypointModel:
             name=self.name,
             merge_overlaps=False,
         )
+
+
+def proximity_chunks(
+    samples: np.ndarray,
+    sample_interval: float,
+    radio_range: float,
+    chunk_contacts: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Contact intervals of sampled positions, as lexsorted blocks.
+
+    ``samples`` has shape ``(num_samples, n, 2)``, sample ``k`` taken at
+    ``k * sample_interval``.  A contact spans every maximal run of
+    samples in which a pair sits within ``radio_range``: it opens at the
+    run's first sample and closes at the first sample out of range, or
+    at the last sample (the horizon) if it is still open and opened
+    before it.  Intervals are discovered in close-time order, and a
+    block is flushed once it holds at least ``chunk_contacts`` of them.
+    The spatial models share this extractor; it draws no random numbers.
+    """
+    if chunk_contacts < 1:
+        raise ValueError("chunk_contacts must be positive")
+    num_samples, n = samples.shape[:2]
+    range2 = radio_range**2
+    iu_i, iu_j = np.triu_indices(n, k=1)
+    open_mask = np.zeros(len(iu_i), dtype=bool)
+    open_start = np.zeros(len(iu_i), dtype=np.float64)
+    buf: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    buffered = 0
+    for k in range(num_samples):
+        t = k * sample_interval
+        pts = samples[k]
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist2 = (diff**2).sum(axis=2)
+        near = dist2[iu_i, iu_j] <= range2
+        closes = open_mask & ~near
+        if bool(closes.any()):
+            s = open_start[closes]
+            buf.append((s, np.full(len(s), t), iu_i[closes], iu_j[closes]))
+            buffered += len(s)
+        opens = near & ~open_mask
+        open_start[opens] = t
+        open_mask = near
+        if buffered >= chunk_contacts:
+            yield _flush(buf)
+            buf, buffered = [], 0
+    horizon = (num_samples - 1) * sample_interval
+    final = open_mask & (open_start < horizon)
+    if bool(final.any()):
+        s = open_start[final]
+        buf.append((s, np.full(len(s), horizon), iu_i[final], iu_j[final]))
+    if buf:
+        yield _flush(buf)
 
 
 def _flush(

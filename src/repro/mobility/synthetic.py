@@ -13,6 +13,12 @@ on.  This module generates traces directly from that model:
 Because the generated process matches the model the scheme's analysis
 assumes, analytical predictions (replication factors, freshness
 probabilities) can be validated exactly against these traces.
+
+Every contact model in :mod:`repro.mobility` draws its contacts in one
+method, ``generate_chunks``, which yields lexsorted ``(start, end, a,
+b)`` array blocks of roughly ``chunk_contacts`` rows each;
+``generate_arrays`` assembles them into a :class:`ContactArrays`, and
+``generate`` is ``generate_arrays(...).to_trace()``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.mobility.arrays import ContactArrays
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 #: Default block size (contacts) for the chunked generators.
 DEFAULT_CHUNK_CONTACTS = 262_144
@@ -145,42 +151,9 @@ class PoissonContactModel:
         self.name = name
 
     def generate(self, duration: float, rng: np.random.Generator) -> ContactTrace:
-        """Generate a trace over ``[0, duration]`` seconds.
-
-        Per pair, draws the contact count, then uniform order statistics
-        for the start times and exponential durations -- equivalent to
-        simulating the Poisson process, one vector op per quantity.  The
-        per-pair draw sequence (poisson, uniforms, exponentials) is the
-        RNG substream contract :meth:`generate_chunks` shares, so both
-        produce the same contacts per seed.
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        n = self.rates.shape[0]
-        mean_duration = self.mean_duration
-        node_ids = self.node_ids
-        contacts: list[Contact] = []
-        append = contacts.append
-        for i in range(n):
-            row = self.rates[i]
-            a_id = node_ids[i]
-            for j in range(i + 1, n):
-                rate = row[j]
-                if rate <= 0:
-                    continue
-                count = rng.poisson(rate * duration)
-                if count == 0:
-                    continue
-                starts = np.sort(rng.random(count)) * duration
-                lengths = rng.exponential(mean_duration, size=count)
-                ends = np.minimum(starts + lengths, duration)
-                keep = ends > starts
-                a, b = a_id, node_ids[j]
-                if a > b:
-                    a, b = b, a
-                for s, e in zip(starts[keep].tolist(), ends[keep].tolist()):
-                    append(Contact(s, e, a, b))
-        return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
+        """Generate a trace over ``[0, duration]`` seconds (see
+        :meth:`generate_chunks`)."""
+        return self.generate_arrays(duration, rng).to_trace()
 
     def generate_chunks(
         self,
@@ -190,14 +163,14 @@ class PoissonContactModel:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Yield the trace as lexsorted ``(start, end, a, b)`` blocks.
 
-        Streams the same trace :meth:`generate` builds -- the per-pair
-        RNG draw sequence is identical, each pair's overlapping
-        intervals are merged exactly like :class:`ContactTrace` does,
-        and a pair never spans two blocks -- without materialising one
-        :class:`Contact` object per row.  Assembling the blocks with
-        :meth:`ContactArrays.from_blocks` therefore reproduces
-        ``ContactArrays.from_trace(self.generate(...))`` bit for bit
-        per seed (enforced by tests, including odd block sizes).
+        This is the one place the model draws contacts.  Per pair, in
+        row-major order, it draws the contact count, then uniform order
+        statistics for the start times and exponential durations --
+        equivalent to simulating the Poisson process, one vector op per
+        quantity.  Each pair's overlapping intervals are merged with
+        :class:`ContactTrace`'s rule and a pair never spans two blocks,
+        so the block size does not change the trace (tests hold it
+        against a per-contact reference, including odd block sizes).
         """
         if duration <= 0:
             raise ValueError("duration must be positive")

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.synthetic import DEFAULT_CHUNK_CONTACTS
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 HOUR = 3600.0
 
@@ -114,35 +114,7 @@ class WorkingDayModel:
 
     def generate(self, duration: float, rng: np.random.Generator) -> ContactTrace:
         """Generate a trace over ``[0, duration]`` seconds."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        num_hours = int(duration // HOUR)
-        contacts: list[Contact] = []
-        mean_len = self.contact_fraction * HOUR
-        for hour_index in range(num_hours):
-            hour_of_day = hour_index % 24
-            locations = self._locations_at(hour_of_day, rng)
-            slot_start = hour_index * HOUR
-            by_place: dict[int, list[int]] = {}
-            for node, place in enumerate(locations):
-                if place >= 0:
-                    by_place.setdefault(int(place), []).append(node)
-            for members in by_place.values():
-                if len(members) < 2:
-                    continue
-                for i, a in enumerate(members):
-                    for b in members[i + 1 :]:
-                        offset = rng.uniform(0.0, 0.5 * HOUR)
-                        length = min(
-                            float(rng.exponential(mean_len)), HOUR - offset
-                        )
-                        if length <= 0:
-                            continue
-                        start = slot_start + offset
-                        end = min(start + length, slot_start + HOUR, duration)
-                        if end > start:
-                            contacts.append(Contact.make(a, b, start, end))
-        return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
+        return self.generate_arrays(duration, rng).to_trace()
 
     def generate_chunks(
         self,
@@ -152,11 +124,10 @@ class WorkingDayModel:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Yield the trace as lexsorted ``(start, end, a, b)`` blocks.
 
-        The per-pair ``uniform``/``exponential`` draws interleave in the
-        exact loop order of :meth:`generate` (they cannot be batched
-        without changing the stream), but rows are buffered into arrays
-        and flushed at hour boundaries, so no :class:`Contact` objects
-        are built.  Bit-identical to the object path per seed.
+        Hour by hour, every co-located pair draws a start offset and a
+        length (``uniform`` then ``exponential``, interleaved per pair,
+        so they cannot be batched without changing the stream).  Rows
+        are buffered into arrays and flushed at hour boundaries.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")

@@ -1,13 +1,15 @@
 """Test-local copies of the scalar paths the optimised code replaced.
 
-Each function below is a body that a module-level switch used to select
-in the program: the full task scan, gossip that peeks the peer for
-every item (no per-peer watermarks), the tree builder with per-child
-rate lookups, relay enumeration over every node, the dict-loop rate
-matrix, per-contact trace assembly and per-contact diurnal thinning.
-The program keeps only the fast path; tests compare it against these
-references, and :func:`legacy_paths` swaps in every one that a run
-reaches.
+Each function below is a body that a module-level switch or a second
+code path used to select in the program: the full task scan, gossip
+that peeks the peer for every item (no per-peer watermarks), the tree
+builder with per-child rate lookups, relay enumeration over every node,
+the dict-loop rate matrix, and each contact model's per-contact trace
+assembly (Poisson, diurnal thinning, proximity on sampled positions,
+working-day co-location).  The program keeps only the fast path; tests
+compare it against these references, and :func:`legacy_paths` swaps in
+every one that a run reaches.  No reference calls back into a program
+contact generator.
 """
 
 import heapq
@@ -32,8 +34,11 @@ from repro.core.refresh import (
 from repro.core.scheme import SchemeRuntime
 from repro.mobility import trace as trace_module
 from repro.mobility.community import DiurnalModel
+from repro.mobility.levy import LevyWalkModel
+from repro.mobility.rwp import RandomWaypointModel
 from repro.mobility.synthetic import PoissonContactModel
 from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.workingday import HOUR, WorkingDayModel
 from repro.sim.messages import Message
 
 
@@ -195,9 +200,67 @@ def poisson_generate_scalar(self, duration, rng):
 
 def diurnal_generate_scalar(self, duration, rng):
     """``DiurnalModel.generate`` drawing one uniform per candidate."""
-    candidate = self._peak_model.generate(duration, rng)
+    candidate = poisson_generate_scalar(self._peak_model, duration, rng)
     kept = [c for c in candidate if rng.random() < self.activity_at(c.start)]
     return ContactTrace(kept, node_ids=self.node_ids, name=self.name)
+
+
+def proximity_generate_scalar(self, duration, rng):
+    """``RandomWaypointModel.generate`` and ``LevyWalkModel.generate``
+    opening and closing one pair at a time from the sampled positions."""
+    samples = self.positions(duration, rng)
+    num_samples = samples.shape[0]
+    dt = self.sample_interval
+    open_since = {}
+    contacts = []
+    range2 = self.radio_range**2
+    for k in range(num_samples):
+        t = k * dt
+        pts = samples[k]
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist2 = (diff**2).sum(axis=2)
+        near = dist2 <= range2
+        for i, j in zip(*np.triu_indices(self.n, k=1)):
+            pair = (int(i), int(j))
+            if near[i, j]:
+                open_since.setdefault(pair, t)
+            elif pair in open_since:
+                start = open_since.pop(pair)
+                contacts.append(Contact.make(pair[0], pair[1], start, t))
+    horizon = (num_samples - 1) * dt
+    for pair, start in open_since.items():
+        if horizon > start:
+            contacts.append(Contact.make(pair[0], pair[1], start, horizon))
+    return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
+
+
+def workingday_generate_scalar(self, duration, rng):
+    """``WorkingDayModel.generate`` building one ``Contact`` per
+    co-located pair and hour."""
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    mean_len = self.contact_fraction * HOUR
+    contacts = []
+    for hour_index in range(int(duration // HOUR)):
+        locations = self._locations_at(hour_index % 24, rng)
+        slot_start = hour_index * HOUR
+        by_place = {}
+        for node, place in enumerate(locations):
+            if place >= 0:
+                by_place.setdefault(int(place), []).append(node)
+        for members in by_place.values():
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    offset = rng.uniform(0.0, 0.5 * HOUR)
+                    length = min(float(rng.exponential(mean_len)),
+                                 HOUR - offset)
+                    if length <= 0:
+                        continue
+                    start = slot_start + offset
+                    end = min(start + length, slot_start + HOUR, duration)
+                    if end > start:
+                        contacts.append(Contact.make(a, b, start, end))
+    return ContactTrace(contacts, node_ids=self.node_ids, name=self.name)
 
 
 def sort_contacts_dataclass(contacts):
@@ -225,6 +288,9 @@ def legacy_paths():
         (scheme_module, "_relay_candidates", relay_candidates_all),
         (PoissonContactModel, "generate", poisson_generate_scalar),
         (DiurnalModel, "generate", diurnal_generate_scalar),
+        (RandomWaypointModel, "generate", proximity_generate_scalar),
+        (LevyWalkModel, "generate", proximity_generate_scalar),
+        (WorkingDayModel, "generate", workingday_generate_scalar),
         (trace_module, "_sort_contacts", sort_contacts_dataclass),
     ]
     with ExitStack() as stack:

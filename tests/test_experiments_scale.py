@@ -5,6 +5,7 @@ from repro.experiments.scale import (
     DAY,
     _pick_sources,
     run_scale_point,
+    synthetic_arrays,
     synthetic_trace,
 )
 
@@ -33,8 +34,7 @@ class TestSyntheticTrace:
             [(c.a, c.b, c.start, c.end) for c in b]
 
     def test_sources_are_sorted_and_in_range(self):
-        trace = synthetic_trace(80, seed=2)
-        sources = _pick_sources(trace, 4)
+        sources = _pick_sources(synthetic_arrays(80, seed=2), 4)
         assert sources == sorted(sources)
         assert all(0 <= s < 80 for s in sources)
         assert len(sources) == 4

@@ -1,5 +1,6 @@
-"""Golden outputs: per-seed run metrics, first answers and calibrated
-trace digests.
+"""Golden outputs: per-seed run metrics, first answers and the trace
+digest of every contact generator (the calibrated profiles, and the
+models no profile is built on).
 
 ``golden.json`` was recorded when every optimised build and accounting
 path still had a scalar twin behind a module switch -- array rate
@@ -45,6 +46,7 @@ from repro.mobility.calibration import get_profile
 from repro.scenarios.compose import compose_scenario
 from repro.scenarios.registry import load_scenario
 from tests.query_plane import QueryPlaneMonitor
+from tests.test_vectorised_build import MODEL_FACTORIES
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -83,9 +85,14 @@ FAULT_PLAN = plan_from_dict({
 #: with response traffic.
 ONPATH = "onpath-caching"
 
-#: Calibrated profiles built by the community generator, each drawn
-#: with ``default_rng(1)`` over its default horizon.
-PROFILES = ("infocom06", "reality", "small")
+#: Calibrated profiles, each drawn with ``default_rng(1)`` over its
+#: default horizon: three on the community generator, and ``vehicular``
+#: on the Levy walk.
+PROFILES = ("infocom06", "reality", "small", "vehicular")
+
+#: The models no profile is built on, drawn with their
+#: ``MODEL_FACTORIES`` parameters over 12 hours from ``default_rng(42)``.
+MODELS = ("rwp", "workingday")
 
 
 def scenario_specs(scenario: str):
@@ -153,8 +160,13 @@ def run_metrics(scenario: str) -> list[dict]:
 
 
 def trace_digest(name: str) -> dict:
-    """Contact count and SHA-256 over node ids and every contact."""
-    trace = get_profile(name).generate(np.random.default_rng(1))
+    """Contact count and SHA-256 over node ids and every contact of the
+    profile or model ``name``."""
+    if name in PROFILES:
+        trace = get_profile(name).generate(np.random.default_rng(1))
+    else:
+        trace = MODEL_FACTORIES[name]().generate(
+            12 * 3600.0, np.random.default_rng(42))
     digest = hashlib.sha256(repr(list(trace.node_ids)).encode())
     for c in trace:
         digest.update(f"{c.start!r} {c.end!r} {c.a} {c.b}\n".encode())
@@ -165,7 +177,7 @@ def compute() -> dict:
     return {
         "runs": {name: run_metrics(name) for name in SCENARIOS},
         "queries": {name: outputs(name)[1] for name in QUERY_SCENARIOS},
-        "traces": {name: trace_digest(name) for name in PROFILES},
+        "traces": {name: trace_digest(name) for name in PROFILES + MODELS},
         "faults": {"runs": run_metrics("faults"),
                    "queries": outputs("faults")[1]},
         "transfers": {name: outputs(name)[3] for name in SCENARIOS},
@@ -224,7 +236,7 @@ def test_onpath_caching_matches_golden(golden):
     assert_same_metrics(run_metrics(ONPATH), golden[ONPATH])
 
 
-@pytest.mark.parametrize("name", PROFILES)
+@pytest.mark.parametrize("name", PROFILES + MODELS)
 def test_trace_digest_matches_golden(golden, name):
     assert trace_digest(name) == golden["traces"][name]
 

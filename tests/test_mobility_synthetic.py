@@ -90,6 +90,13 @@ class TestPoissonContactModel:
         trace = model.generate(5000.0, rng)
         assert (0, 1) not in trace.pair_contacts()
 
+    def test_zero_length_draws_are_dropped(self, rng):
+        # lengths far below one ulp of any start time leave end == start
+        model = PoissonContactModel(homogeneous_rate_matrix(4, 0.01),
+                                    mean_duration=1e-300)
+        assert model.expected_contacts(1000.0) == 60.0
+        assert len(model.generate(1000.0, rng)) == 0
+
     def test_contacts_within_horizon(self, rng):
         model = PoissonContactModel(homogeneous_rate_matrix(4, 0.01), mean_duration=50.0)
         trace = model.generate(1000.0, rng)

@@ -43,6 +43,24 @@ class TestGeneratedTrace:
             assert c.end <= 3 * DAY
             assert c.duration > 0
 
+    def test_contacts_touching_across_hours_merge(self):
+        class WholeHours:
+            """Every contact starts at its hour and lasts all of it."""
+
+            def uniform(self, low, high):
+                return low
+
+            def exponential(self, scale):
+                return 3600.0
+
+        model = WorkingDayModel(n=4, household_size=2,
+                                rng=np.random.default_rng(0))
+        # hours 0-7 are at home: each household's eight hourly contacts
+        # touch end to start, so each is one contact
+        trace = model.generate(8 * 3600.0, WholeHours())
+        assert [(c.a, c.b, c.start, c.end) for c in trace] == [
+            (0, 1, 0.0, 8 * 3600.0), (2, 3, 0.0, 8 * 3600.0)]
+
     def test_commute_hours_have_no_contacts(self, model, rng):
         trace = model.generate(3 * DAY, rng)
         for c in trace:

@@ -6,8 +6,10 @@ estimation, array-driven NCL/tree/plan construction, and the
 -- every result must be bit-identical to the scalar/object path it
 replaces.  These tests pin that contract:
 
-- chunked generation equals monolithic generation for every mobility
-  model, including pathological chunk sizes;
+- every mobility model's chunked generation equals its per-contact
+  reference in ``tests/reference_paths.py``, does not depend on the
+  chunk size (pathological ones included), and rejects a horizon that
+  is not positive;
 - ``mle_rates``/``ewma_rates`` on :class:`ContactArrays` equal the
   object-trace estimators exactly, and ``RateTable.matrix`` equals a
   pair-by-pair fill (Hypothesis-driven);
@@ -32,11 +34,19 @@ from repro.core.hierarchy import build_tree
 from repro.core.scheme import build_simulation
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.community import CommunityModel, DiurnalModel
+from repro.mobility.levy import LevyWalkModel
 from repro.mobility.rwp import RandomWaypointModel
 from repro.mobility.synthetic import PoissonContactModel
 from repro.mobility.trace import Contact, ContactTrace
 from repro.mobility.workingday import WorkingDayModel
-from tests.reference_paths import build_tree_scalar, rate_matrix_loop
+from tests.reference_paths import (
+    build_tree_scalar,
+    diurnal_generate_scalar,
+    poisson_generate_scalar,
+    proximity_generate_scalar,
+    rate_matrix_loop,
+    workingday_generate_scalar,
+)
 
 HOUR = 3600.0
 
@@ -62,16 +72,29 @@ MODEL_FACTORIES = {
     "diurnal": lambda: DiurnalModel(_rate_matrix(10, seed=2, scale=4e-4)),
     "workingday": lambda: WorkingDayModel(10, rng=np.random.default_rng(9)),
     "rwp": lambda: RandomWaypointModel(8, area=200.0, radio_range=40.0),
+    "levy": lambda: LevyWalkModel(8, area=300.0, radio_range=40.0),
+}
+
+#: The per-contact reference each model's arrays are held against.
+REFERENCES = {
+    "poisson": poisson_generate_scalar,
+    "community": lambda model, duration, rng: poisson_generate_scalar(
+        model._model, duration, rng),
+    "diurnal": diurnal_generate_scalar,
+    "workingday": workingday_generate_scalar,
+    "rwp": proximity_generate_scalar,
+    "levy": proximity_generate_scalar,
 }
 
 
 class TestChunkedGeneration:
-    """Chunked synthesis must be bit-identical to the monolithic path."""
+    """Chunked synthesis must be bit-identical to the per-contact
+    references."""
 
     @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
     def test_arrays_match_object_path(self, name):
         model = MODEL_FACTORIES[name]()
-        trace = model.generate(12 * HOUR, np.random.default_rng(42))
+        trace = REFERENCES[name](model, 12 * HOUR, np.random.default_rng(42))
         arrays = model.generate_arrays(12 * HOUR, np.random.default_rng(42))
         assert _contact_tuples(arrays.to_trace()) == _contact_tuples(trace)
 
@@ -100,9 +123,26 @@ class TestChunkedGeneration:
             assert np.all(e > s)
             assert np.all(a != b)
 
+    @pytest.mark.parametrize("duration", [0.0, -25.0])
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_duration_must_be_positive(self, name, duration):
+        model = MODEL_FACTORIES[name]()
+        draws = (model.generate, model.generate_arrays,
+                 lambda d, rng: list(model.generate_chunks(d, rng)))
+        for draw in draws:
+            with pytest.raises(ValueError, match="duration must be positive"):
+                draw(duration, np.random.default_rng(0))
+
     def test_chunk_size_must_be_positive(self):
         model = MODEL_FACTORIES["poisson"]()
         with pytest.raises(ValueError):
+            list(model.generate_chunks(HOUR, np.random.default_rng(0),
+                                       chunk_contacts=0))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_every_model_checks_chunk_size(self, name):
+        model = MODEL_FACTORIES[name]()
+        with pytest.raises(ValueError, match="chunk_contacts must be positive"):
             list(model.generate_chunks(HOUR, np.random.default_rng(0),
                                        chunk_contacts=0))
 
@@ -113,7 +153,8 @@ class TestChunkedGeneration:
     def test_poisson_chunking_property(self, chunk, seed):
         model = PoissonContactModel(_rate_matrix(6, seed=1, scale=6e-4),
                                     mean_duration=150.0)
-        trace = model.generate(6 * HOUR, np.random.default_rng(seed))
+        trace = poisson_generate_scalar(model, 6 * HOUR,
+                                        np.random.default_rng(seed))
         arrays = model.generate_arrays(6 * HOUR, np.random.default_rng(seed),
                                        chunk_contacts=chunk)
         assert _contact_tuples(arrays.to_trace()) == _contact_tuples(trace)
