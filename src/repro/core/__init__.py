@@ -16,9 +16,15 @@ refreshment -- keeps cached copies fresh with two ideas:
    probability of on-time delivery meets the item's freshness
    requirement, computed in closed form from pairwise contact rates.
 
+:mod:`repro.core.plan` makes both decisions once per run:
+:func:`~repro.core.plan.plan_refresh` selects the caching nodes, builds
+each item's tree and provisions every edge into a
+:class:`~repro.core.plan.RefreshPlan`.  Both executors run that plan,
+the analytical model predicts from it, and
+:mod:`repro.core.maintenance` repairs it under churn.
 :mod:`repro.core.refresh` implements the runtime protocol handlers and
-:mod:`repro.core.scheme` wires a full simulation (sources, caching
-nodes, trees, relay plans, metrics probes) for HDR and every baseline.
+:mod:`repro.core.scheme` wires a full simulation (sources, stores,
+handlers, metrics probes) around the plan for HDR and every baseline.
 """
 
 from repro.core.replication import (
@@ -31,6 +37,7 @@ from repro.core.replication import (
     two_hop_probability,
 )
 from repro.core.hierarchy import RefreshTree, build_tree, random_tree, star_tree
+from repro.core.plan import RefreshPlan, plan_refresh
 from repro.core.maintenance import (
     ChurnProcess,
     HierarchyManager,
@@ -58,6 +65,7 @@ __all__ = [
     "InvalidationRefreshHandler",
     "managers_for_runtime",
     "HdrRefreshHandler",
+    "RefreshPlan",
     "RefreshTree",
     "RefreshUpdate",
     "RelayPlan",
@@ -71,6 +79,7 @@ __all__ = [
     "decompose_requirement",
     "expected_fresh_fraction",
     "plan_edge",
+    "plan_refresh",
     "random_tree",
     "required_direct_rate",
     "scheme_variant",

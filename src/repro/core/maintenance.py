@@ -8,7 +8,10 @@ same rate-aware rule the builder uses, and both recomputing the relay
 plans of exactly the edges that changed.
 
 :class:`HierarchyManager` performs those structural repairs for one
-item's tree.  :class:`ChurnProcess` drives a simulation with a
+item's tree in a :class:`~repro.core.plan.RefreshPlan`, provisioning
+each changed edge through the planner's own
+:meth:`~repro.core.plan.RefreshPlan.provision_edge`.
+:class:`ChurnProcess` drives a simulation with a
 memoryless leave/return process over the caching nodes, repairing every
 item's hierarchy on each event -- the runtime counterpart of the paper's
 "distributed maintenance".
@@ -26,9 +29,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.contacts.rates import RateTable
-from repro.core.hierarchy import RefreshTree
-from repro.core.replication import RelayPlan, decompose_requirement, plan_edge
+from repro.core.plan import RefreshPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.scheme import SchemeRuntime
@@ -45,31 +46,21 @@ class RepairStats:
 
 
 class HierarchyManager:
-    """Repairs one item's refresh tree as members come and go."""
+    """Repairs one item's refresh tree, and the relays of its edges, in
+    ``plan`` as members come and go."""
 
     def __init__(
         self,
+        plan: RefreshPlan,
         item_id: int,
-        tree: RefreshTree,
-        rates: RateTable,
-        plans: dict[tuple[int, int, int], RelayPlan],
-        window: float,
-        p_req: float,
         fanout: int = 3,
         max_depth: int = 3,
-        max_relays: int = 5,
-        all_nodes: tuple[int, ...] = (),
     ) -> None:
+        self.plan = plan
         self.item_id = item_id
-        self.tree = tree
-        self.rates = rates
-        self.plans = plans
-        self.window = window
-        self.p_req = p_req
+        self.tree = plan.trees[item_id]
         self.fanout = fanout
         self.max_depth = max_depth
-        self.max_relays = max_relays
-        self.all_nodes = tuple(all_nodes)
         self.stats = RepairStats()
 
     # -- structural operations ------------------------------------------
@@ -92,7 +83,6 @@ class HierarchyManager:
         """
         if node not in self.tree.nodes or node == self.tree.root:
             raise ValueError(f"node {node} is not a removable member")
-        parent = self.tree.parent_of(node)
         orphans = self.tree.detach(node)
         self._drop_plans_touching(node)
         # Strongest-rate orphans re-attach first, so they become anchor
@@ -105,7 +95,6 @@ class HierarchyManager:
             self._replan_edge(new_parent, orphan)
             self.stats.reattachments += 1
         self.stats.leaves += 1
-        del parent  # the departure point is not otherwise special
         return orphans
 
     # -- internals -----------------------------------------------------------
@@ -124,79 +113,57 @@ class HierarchyManager:
         candidates = self._open_parents()
         if not candidates:
             raise ValueError("no parent with spare capacity (budget exhausted)")
+        rates = self.plan.rates
         best = max(
             candidates,
-            key=lambda p: (self.rates.rate(p, node), -self.tree.depth_of(p), -p),
+            key=lambda p: (rates.rate(p, node), -self.tree.depth_of(p), -p),
         )
-        if self.rates.rate(best, node) > 0:
+        if rates.rate(best, node) > 0:
             return best
         # no reachable parent: fall back to the shallowest open slot
         return min(candidates, key=lambda p: (self.tree.depth_of(p), p))
 
     def _best_rate_to_tree(self, node: int) -> float:
         return max(
-            (self.rates.rate(node, member) for member in self.tree.nodes),
+            (self.plan.rates.rate(node, member) for member in self.tree.nodes),
             default=0.0,
         )
 
     def _replan_edge(self, parent: int, child: int) -> None:
-        depth = max(1, self.tree.max_depth)
-        hop_window = self.window / depth
-        hop_target = decompose_requirement(self.p_req, depth)
-        candidates = [
-            (relay, self.rates.rate(parent, relay), self.rates.rate(relay, child))
-            for relay in self.all_nodes
-            if relay not in (parent, child)
-        ]
-        self.plans[(self.item_id, parent, child)] = plan_edge(
-            parent,
-            child,
-            direct_rate=self.rates.rate(parent, child),
-            relay_candidates=candidates,
-            window=hop_window,
-            target=hop_target,
-            max_relays=self.max_relays,
-        )
+        self.plan.provision_edge(self.item_id, parent, child)
         self.stats.replanned_edges += 1
 
     def _drop_plans_touching(self, node: int) -> None:
+        plans = self.plan.plans
         dead = [
             key
-            for key in self.plans
+            for key in plans
             if key[0] == self.item_id and (key[1] == node or key[2] == node)
         ]
         for key in dead:
-            del self.plans[key]
+            del plans[key]
 
 
 def managers_for_runtime(runtime: "SchemeRuntime") -> dict[int, HierarchyManager]:
-    """One :class:`HierarchyManager` per item of a tree-structured runtime."""
-    if runtime.config.structure not in ("tree", "star"):
-        raise ValueError(
-            f"scheme {runtime.config.name!r} has no hierarchy to maintain"
-        )
-    managers = {}
-    if runtime.config.structure == "star":
+    """One :class:`HierarchyManager` per item of a tree-structured
+    runtime, each repairing ``runtime.plan``."""
+    plan = runtime.plan
+    config = plan.config
+    if config.structure not in ("tree", "star"):
+        raise ValueError(f"scheme {config.name!r} has no hierarchy to maintain")
+    if config.structure == "star":
         # A star must stay a star: the root holds every member directly.
-        fanout = max(runtime.config.fanout, len(runtime.caching_nodes) + 8)
+        fanout = max(config.fanout, len(plan.caching_nodes) + 8)
         max_depth = 1
     else:
-        fanout = runtime.config.fanout
-        max_depth = runtime.config.max_depth
-    for item in runtime.catalog:
-        managers[item.item_id] = HierarchyManager(
-            item_id=item.item_id,
-            tree=runtime.trees[item.item_id],
-            rates=runtime.rates,
-            plans=runtime.plans,
-            window=item.refresh_interval,
-            p_req=item.freshness_requirement,
-            fanout=fanout,
-            max_depth=max_depth,
-            max_relays=runtime.config.max_relays,
-            all_nodes=tuple(sorted(runtime.nodes)),
+        fanout = config.fanout
+        max_depth = config.max_depth
+    return {
+        item.item_id: HierarchyManager(
+            plan, item.item_id, fanout=fanout, max_depth=max_depth
         )
-    return managers
+        for item in plan.catalog
+    }
 
 
 @dataclass

@@ -5,19 +5,16 @@ a contact trace, a data catalog, and a scheme name, it:
 
 1. estimates pairwise contact rates from the trace (the knowledge the
    distributed estimators converge to);
-2. selects the caching nodes by contact centrality (NCL selection);
-3. builds the per-item refresh structure required by the scheme -- the
-   rate-aware tree for HDR, a star for the flat baselines, random trees
-   for the assignment ablation;
-4. provisions every tree edge with relays via the probabilistic
-   replication analysis, honouring each item's freshness requirement;
-5. installs the protocol handlers (sources, refresh distributors, and
+2. plans the scheme with :func:`~repro.core.plan.plan_refresh`: the
+   caching nodes, each item's refresh structure and the relays of every
+   tree edge;
+3. installs the protocol handlers (sources, refresh distributors, and
    optionally the query plane) and seeds version 1 everywhere so every
    scheme starts from the same warm state.
 
-The returned :class:`SchemeRuntime` exposes the simulator, the ground
-truth, the update log, and snapshot/probe helpers the metrics layer
-consumes.
+The returned :class:`SchemeRuntime` exposes its
+:class:`~repro.core.plan.RefreshPlan`, the simulator, the ground truth,
+the update log, and snapshot/probe helpers the metrics layer consumes.
 
 Schemes (:data:`SCHEMES`):
 
@@ -41,14 +38,13 @@ from typing import Optional
 import numpy as np
 
 from repro.caching.items import CacheEntry, DataCatalog, VersionHistory
-from repro.caching.ncl import select_caching_nodes
 from repro.caching.onpath import OnPathConfig, attach_onpath
 from repro.caching.placement import PlacementPolicy
 from repro.caching.query import QueryManager
 from repro.caching.store import CacheStore, EvictionPolicy
 from repro.contacts.rates import RateTable, mle_rates
 from repro.core.accounting import FreshnessAccountant
-from repro.core.hierarchy import RefreshTree, build_tree, random_tree, star_tree
+from repro.core.plan import ReadsPlan, RefreshPlan, plan_refresh
 from repro.core.refresh import (
     FloodingRefreshHandler,
     HdrRefreshHandler,
@@ -56,7 +52,7 @@ from repro.core.refresh import (
     RefreshUpdate,
     SourceHandler,
 )
-from repro.core.replication import RelayPlan, decompose_requirement, plan_edge
+from repro.core.soa import build_soa_simulation, check_soa_supports
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.trace import ContactTrace
 from repro.obs.bus import EventBus, tee_online_listener
@@ -66,12 +62,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import ContactNetwork, LinkModel
 from repro.sim.node import Node
 from repro.sim.stats import StatsRegistry
-
-
-#: Centrality window of caching-node selection and placement: the
-#: horizon over which a node's expected number of distinct contacts is
-#: counted.
-CENTRALITY_WINDOW = 6 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -157,41 +147,34 @@ SCHEMES: dict[str, SchemeConfig] = {
 
 
 @dataclass
-class SchemeRuntime:
+class SchemeRuntime(ReadsPlan):
     """A fully wired simulation plus everything needed to measure it."""
 
-    config: SchemeConfig
+    #: what the run executes; its fields read as the runtime's own
+    plan: RefreshPlan
     sim: Simulator
     network: ContactNetwork
     nodes: dict[int, Node]
-    catalog: DataCatalog
     history: VersionHistory
-    rates: RateTable
-    caching_nodes: list[int]
-    sources: list[int]
     stores: dict[int, CacheStore]
-    trees: dict[int, RefreshTree]
-    plans: dict[tuple[int, int, int], RelayPlan]
     update_log: list[RefreshUpdate]
     stats: StatsRegistry
     query_managers: dict[int, QueryManager] = field(default_factory=dict)
     #: extra bounded stores installed on ordinary nodes by on-path caching
     onpath_stores: dict[int, CacheStore] = field(default_factory=dict)
-    #: per-item caching-node subsets when a placement policy restricted
-    #: replication (``None`` = full replication on every caching node)
-    assignment: Optional[dict[int, tuple[int, ...]]] = None
     accountant: Optional[FreshnessAccountant] = None
     #: the :class:`~repro.obs.bus.EventBus` every instrumentation point
     #: was wired to, or ``None`` for an untraced (zero-overhead) run
     trace: Optional[EventBus] = None
 
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        """Every node id of the simulated population, ascending."""
-        return tuple(sorted(self.nodes))
+    def run(self, until: float) -> float:
+        """Start the network and advance the simulation to ``until``.
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Start the network and advance the simulation to ``until``."""
+        The horizon is required: a scheme with a source never runs out
+        of events, because every refresh schedules the next one.
+        """
+        if until is None:
+            raise ValueError("run needs an explicit horizon")
         return self.network.run(until=until)
 
     def freshness_snapshot(self, recompute: bool = False) -> tuple[int, int, int]:
@@ -381,9 +364,10 @@ def build_simulation(
     accepts a :class:`~repro.mobility.arrays.ContactArrays` trace and
     then builds everything array-natively.
     """
+    if backend not in ("object", "soa"):
+        raise ValueError(f"unknown backend {backend!r} (object|soa)")
+    config = SCHEMES[scheme] if isinstance(scheme, str) else scheme
     if backend == "soa":
-        from repro.core.soa import build_soa_simulation, check_soa_supports
-
         check_soa_supports(
             queries=with_queries,
             link_model=link_model is not None,
@@ -391,106 +375,30 @@ def build_simulation(
             tracing=bus is not None,
             placement=placement is not None,
             onpath=onpath is not None,
+            invalidate=config.structure == "invalidate",
         )
-        return build_soa_simulation(
-            trace,
-            catalog,
-            scheme=scheme,
-            num_caching_nodes=num_caching_nodes,
-            caching_nodes=caching_nodes,
-            rates=rates,
-            seed=seed,
-            refresh_jitter=refresh_jitter,
-            store_capacity=store_capacity,
-            eviction_policy=eviction_policy,
-            ncl_metric=ncl_metric,
-        )
-    if backend != "object":
-        raise ValueError(f"unknown backend {backend!r} (object|soa)")
-    if not isinstance(trace, ContactTrace):
+    elif not isinstance(trace, ContactTrace):
         raise ValueError(
             "the object backend needs a ContactTrace; pass "
             "trace.to_trace() or use backend='soa' for ContactArrays"
         )
     if onpath is not None and not with_queries:
         raise ValueError("onpath caching requires with_queries=True")
-    config = SCHEMES[scheme] if isinstance(scheme, str) else scheme
+    # One generator per run: planning draws from it first (random NCL
+    # selection, random trees), then the refresh jitter.
     rng = np.random.default_rng(seed)
-    stats = MetricsRegistry()
-    history = VersionHistory()
-    update_log: list[RefreshUpdate] = []
-
-    if rates is None:
-        rates = mle_rates(trace)
-    sources = sorted({item.source for item in catalog})
-    unknown_sources = [s for s in sources if s not in trace.node_ids]
-    if unknown_sources:
-        raise ValueError(f"catalog sources {unknown_sources} are not in the trace")
-
-    if caching_nodes is None and placement is not None:
-        caching_nodes = placement.select_nodes(
-            rates, num_caching_nodes, exclude=set(sources), window=CENTRALITY_WINDOW
-        )
-    if caching_nodes is None:
-        caching_nodes = select_caching_nodes(
-            rates,
-            num_caching_nodes,
-            metric=ncl_metric,
-            window=CENTRALITY_WINDOW,
-            exclude=set(sources),
-            rng=rng if ncl_metric == "random" else None,
-        )
-    caching_nodes = sorted(int(n) for n in caching_nodes)
-    overlap = set(caching_nodes) & set(sources)
-    if overlap:
-        raise ValueError(f"nodes {sorted(overlap)} are both sources and caching nodes")
-
-    assignment: Optional[dict[int, tuple[int, ...]]] = None
-    if placement is not None:
-        assignment = placement.assign(
-            catalog, caching_nodes, rates, window=CENTRALITY_WINDOW
-        )
-    if assignment is not None:
-        stray = {
-            nid for members in assignment.values() for nid in members
-        } - set(caching_nodes)
-        if stray:
-            raise ValueError(
-                f"placement assigned non-caching nodes {sorted(stray)}"
-            )
-
-    # -- structures -------------------------------------------------------
-    trees: dict[int, RefreshTree] = {}
-    plans: dict[tuple[int, int, int], RelayPlan] = {}
-    if config.structure in ("tree", "star"):
-        for item in catalog:
-            members = (
-                list(assignment[item.item_id])
-                if assignment is not None and item.item_id in assignment
-                else caching_nodes
-            )
-            tree = _build_structure(config, item.source, members, rates, rng)
-            trees[item.item_id] = tree
-            if config.max_relays >= 0:
-                _plan_tree(
-                    item.item_id,
-                    tree,
-                    rates,
-                    window=item.refresh_interval,
-                    p_req=item.freshness_requirement,
-                    max_relays=config.max_relays,
-                    all_nodes=trace.node_ids,
-                    plans=plans,
-                )
-
-    # -- nodes, network, handlers -------------------------------------------
-    sim = Simulator()
-    nodes = {nid: Node(nid) for nid in trace.node_ids}
-    network = ContactNetwork(
-        sim, nodes, trace, link_model=link_model, stats=stats,
-        record_transfers=record_transfers,
+    plan = plan_refresh(
+        config,
+        catalog,
+        trace.node_ids,
+        mle_rates(trace) if rates is None else rates,
+        rng,
+        num_caching_nodes=num_caching_nodes,
+        caching_nodes=caching_nodes,
+        ncl_metric=ncl_metric,
+        placement=placement,
     )
-
+    caching_nodes = plan.caching_nodes
     stores: dict[int, CacheStore] = {
         nid: CacheStore(capacity=store_capacity, policy=eviction_policy)
         for nid in caching_nodes
@@ -501,6 +409,21 @@ def build_simulation(
     accountant = FreshnessAccountant(catalog, caching_nodes)
     for nid in caching_nodes:
         stores[nid].change_listener = accountant.store_listener(nid)
+    if backend == "soa":
+        return build_soa_simulation(
+            plan, trace, rng, stores, accountant, refresh_jitter=refresh_jitter
+        )
+    stats = MetricsRegistry()
+    history = VersionHistory()
+    update_log: list[RefreshUpdate] = []
+
+    # -- nodes, network, handlers -------------------------------------------
+    sim = Simulator()
+    nodes = {nid: Node(nid) for nid in trace.node_ids}
+    network = ContactNetwork(
+        sim, nodes, trace, link_model=link_model, stats=stats,
+        record_transfers=record_transfers,
+    )
     network.add_online_listener(accountant.online_changed)
     if bus is not None:
         # Wired before seeding/handlers so the warm-start puts are traced.
@@ -515,12 +438,12 @@ def build_simulation(
         for nid, node in nodes.items():
             handler = HdrRefreshHandler(
                 catalog=catalog,
-                trees=trees,
-                plans=plans,
+                trees=plan.trees,
+                plans=plan.plans,
                 update_log=update_log,
                 stats=stats,
                 store=stores.get(nid),
-                rates=rates,
+                rates=plan.rates,
                 relay_budget=config.effective_relay_budget,
             )
             handler.trace = bus
@@ -550,7 +473,7 @@ def build_simulation(
             refresh_handlers[nid] = handler
 
     source_handlers: dict[int, SourceHandler] = {}
-    for source in sources:
+    for source in plan.sources:
         handler = SourceHandler(
             items=catalog.items_of_source(source),
             history=history,
@@ -596,12 +519,7 @@ def build_simulation(
     # -- warm start: version 1 everywhere at t=0 ---------------------------------
     # (under a placement assignment, only the assigned replicas)
     for item in catalog:
-        members = (
-            assignment[item.item_id]
-            if assignment is not None and item.item_id in assignment
-            else caching_nodes
-        )
-        for nid in members:
+        for nid in plan.members(item.item_id):
             handler = refresh_handlers.get(nid)
             if handler is not None:
                 handler.seed_entry(item, version=1, version_time=0.0)
@@ -617,119 +535,18 @@ def build_simulation(
                 )
 
     return SchemeRuntime(
-        config=config,
+        plan=plan,
         sim=sim,
         network=network,
         nodes=nodes,
-        catalog=catalog,
         history=history,
-        rates=rates,
-        caching_nodes=caching_nodes,
-        sources=sources,
         stores=stores,
-        trees=trees,
-        plans=plans,
         update_log=update_log,
         stats=stats,
         query_managers=query_managers,
         onpath_stores=onpath_stores,
-        assignment=assignment,
         accountant=accountant,
         trace=bus,
-    )
-
-
-def _build_structure(
-    config: SchemeConfig,
-    source: int,
-    caching_nodes: list[int],
-    rates: RateTable,
-    rng: np.random.Generator,
-) -> RefreshTree:
-    if config.structure == "star":
-        return star_tree(source, caching_nodes)
-    if config.assignment == "random":
-        return random_tree(
-            source,
-            caching_nodes,
-            rng,
-            fanout=config.fanout,
-            max_depth=config.max_depth,
-            root_fanout=config.fanout,
-        )
-    return build_tree(
-        source,
-        caching_nodes,
-        rates,
-        fanout=config.fanout,
-        max_depth=config.max_depth,
-        root_fanout=config.fanout,
-    )
-
-
-def _plan_tree(
-    item_id: int,
-    tree: RefreshTree,
-    rates: RateTable,
-    window: float,
-    p_req: float,
-    max_relays: int,
-    all_nodes: tuple[int, ...],
-    plans: dict[tuple[int, int, int], RelayPlan],
-) -> None:
-    """Provision every edge of ``tree`` with relays.
-
-    The end-to-end freshness window (one refresh interval) and the
-    freshness requirement are split evenly across the tree's depth.
-    """
-    depth = max(1, tree.max_depth)
-    hop_window = window / depth
-    hop_target = decompose_requirement(p_req, depth)
-    all_nodes_arr = np.asarray(all_nodes, dtype=np.int64)
-    for parent, child in tree.edges():
-        plans[(item_id, parent, child)] = plan_edge(
-            parent,
-            child,
-            direct_rate=rates.rate(parent, child),
-            relay_candidates=_relay_candidates(rates, parent, child, all_nodes_arr),
-            window=hop_window,
-            target=hop_target,
-            max_relays=max_relays,
-        )
-
-
-def _relay_candidates(
-    rates: RateTable,
-    parent: int,
-    child: int,
-    all_nodes_arr: np.ndarray,
-) -> list[tuple[int, float, float]]:
-    """Relay triples for one edge via neighbor-set intersection.
-
-    :func:`plan_edge` keeps only relays whose two-hop probability is
-    positive, which requires a positive rate on *both* legs -- so
-    intersecting the two endpoints' positive-rate neighbor lists (and
-    restricting to ``all_nodes``) yields the identical plan as
-    enumerating every node, in O(deg) instead of O(N) per edge.
-    """
-    if not len(all_nodes_arr):
-        return []
-    up_ids, up_rates = rates.neighbor_view(parent)
-    down_ids, down_rates = rates.neighbor_view(child)
-    common, iu, idn = np.intersect1d(
-        up_ids, down_ids, assume_unique=True, return_indices=True
-    )
-    keep = (common != parent) & (common != child)
-    # Restrict to ``all_nodes`` (a rate table may cover nodes outside
-    # the trace).
-    pos = np.searchsorted(all_nodes_arr, common).clip(0, len(all_nodes_arr) - 1)
-    keep &= all_nodes_arr[pos] == common
-    return list(
-        zip(
-            common[keep].tolist(),
-            up_rates[iu[keep]].tolist(),
-            down_rates[idn[keep]].tolist(),
-        )
     )
 
 

@@ -47,11 +47,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.caching.items import CacheEntry, DataCatalog, VersionHistory
-from repro.caching.ncl import select_caching_nodes
-from repro.caching.store import CacheStore, EvictionPolicy
-from repro.contacts.rates import RateTable, mle_rates
+from repro.caching.items import CacheEntry, VersionHistory
+from repro.caching.store import CacheStore
 from repro.core.accounting import FreshnessAccountant
+from repro.core.plan import ReadsPlan, RefreshPlan
 from repro.core.refresh import REFRESH_OVERHEAD, RefreshUpdate, _PendingRefresh
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.trace import ContactTrace
@@ -139,7 +138,7 @@ class _TaskState:
         self.recruits_used: dict[tuple[int, int], int] = {}
 
 
-class SoaRuntime:
+class SoaRuntime(ReadsPlan):
     """A wired SoA simulation: same measurement surface as
     :class:`~repro.core.scheme.SchemeRuntime`, vectorised execution.
 
@@ -149,53 +148,35 @@ class SoaRuntime:
 
     def __init__(
         self,
-        config,
+        plan: RefreshPlan,
         stream: ContactEventStream,
-        catalog: DataCatalog,
-        history: VersionHistory,
-        rates: RateTable,
-        caching_nodes: list[int],
-        sources: list[int],
         stores: dict[int, CacheStore],
-        trees: dict,
-        plans: dict,
-        update_log: list[RefreshUpdate],
-        stats: MetricsRegistry,
         accountant: FreshnessAccountant,
         rng: np.random.Generator,
         refresh_jitter: float,
     ) -> None:
-        self.config = config
+        self.plan = plan
         self.stream = stream
-        #: every node id of the simulated population, ascending
-        self.node_ids = stream.node_ids
-        self.catalog = catalog
-        self.history = history
-        self.rates = rates
-        self.caching_nodes = caching_nodes
-        self.sources = sources
+        self.history = VersionHistory()
         self.stores = stores
-        self.trees = trees
-        self.plans = plans
-        self.update_log = update_log
-        self.stats = stats
+        self.update_log: list[RefreshUpdate] = []
+        self.stats = stats = MetricsRegistry()
         self.accountant = accountant
         self.rng = rng
         self.refresh_jitter = refresh_jitter
-        self.relay_budget = config.effective_relay_budget
+        self.relay_budget = plan.config.effective_relay_budget
         self.trace = None  # tracing is unsupported; kept for duck typing
 
         self.sim = _Clock()
         self._family = {"tree": "tree", "star": "tree",
-                        "flood": "flood", "none": "none"}[config.structure]
+                        "flood": "flood", "none": "none"}[plan.config.structure]
         self._started = False
 
         # -- item lookup tables (hot path avoids catalog.get) -----------
-        self._items = {item.item_id: item for item in catalog}
-        self._item_source = {i.item_id: i.source for i in catalog}
-        self._item_lifetime = {i.item_id: i.lifetime for i in catalog}
-        self._item_interval = {i.item_id: i.refresh_interval for i in catalog}
-        self._item_size = {i.item_id: i.size + REFRESH_OVERHEAD for i in catalog}
+        self._items = {item.item_id: item for item in plan.catalog}
+        self._item_source = {i.item_id: i.source for i in plan.catalog}
+        self._item_lifetime = {i.item_id: i.lifetime for i in plan.catalog}
+        self._item_size = {i.item_id: i.size + REFRESH_OVERHEAD for i in plan.catalog}
         self._item_pos = {item_id: pos
                           for pos, item_id in enumerate(sorted(self._items))}
         self._num_items = len(self._items)
@@ -326,11 +307,11 @@ class SoaRuntime:
             + self.stats.counter_value("net.transfers.invalidate")
         )
 
-    def run(self, until: Optional[float] = None) -> float:
+    def run(self, until: float) -> float:
         """Advance the simulation to ``until`` (required: the vectorised
         schedule has no notion of 'run until the heap drains')."""
         if until is None:
-            raise ValueError("the soa backend needs an explicit horizon")
+            raise ValueError("run needs an explicit horizon")
         until = float(until)
         if until < self.sim.now:
             raise ValueError(
@@ -884,125 +865,36 @@ class SoaRuntime:
 
 
 def build_soa_simulation(
+    plan: RefreshPlan,
     trace: "ContactTrace | ContactArrays",
-    catalog: DataCatalog,
-    scheme="hdr",
-    num_caching_nodes: int = 12,
-    caching_nodes: Optional[list[int]] = None,
-    rates: Optional[RateTable] = None,
-    seed: int = 0,
+    rng: np.random.Generator,
+    stores: dict[int, CacheStore],
+    accountant: FreshnessAccountant,
     refresh_jitter: float = 0.0,
-    store_capacity: Optional[int] = None,
-    eviction_policy: EvictionPolicy = EvictionPolicy.LRU,
-    ncl_metric: str = "contact",
 ) -> SoaRuntime:
-    """Wire a :class:`SoaRuntime` over ``trace``.
+    """Wire a :class:`SoaRuntime` that runs ``plan`` over ``trace``.
 
-    Mirrors :func:`repro.core.scheme.build_simulation` step-for-step --
-    same RNG consumption order (NCL selection, tree assignment), same
-    structures, same warm seeding -- so a SoA run and an object run from
-    the same ``(trace, catalog, scheme, seed)`` are metric-identical.
+    Takes the plan, the run's generator, the caching nodes' stores and
+    their accountant as :func:`repro.core.scheme.build_simulation`
+    leaves them, and seeds the same warm start, so a SoA run and an
+    object run of the same ``(trace, catalog, scheme, seed)`` are
+    metric-identical.
 
     ``trace`` may be a :class:`~repro.mobility.arrays.ContactArrays`,
-    in which case the event stream (and, when ``rates`` is not given,
-    the rate estimation) is built array-natively without ever
-    materialising ``Contact`` objects.
+    in which case the event stream is built array-natively without
+    ever materialising ``Contact`` objects.
     """
-    from repro.core.scheme import (
-        CENTRALITY_WINDOW,
-        SCHEMES,
-        _build_structure,
-        _plan_tree,
-    )
-
-    config = SCHEMES[scheme] if isinstance(scheme, str) else scheme
-    check_soa_supports(invalidate=config.structure == "invalidate")
     if not 0.0 <= refresh_jitter < 1.0:
         raise ValueError("jitter must be in [0, 1)")
-
-    rng = np.random.default_rng(seed)
-    stats = MetricsRegistry()
-    history = VersionHistory()
-    update_log: list[RefreshUpdate] = []
-
-    if rates is None:
-        rates = mle_rates(trace)
-    sources = sorted({item.source for item in catalog})
-    unknown_sources = [s for s in sources if s not in trace.node_ids]
-    if unknown_sources:
-        raise ValueError(
-            f"catalog sources {unknown_sources} are not in the trace"
-        )
-
-    if caching_nodes is None:
-        caching_nodes = select_caching_nodes(
-            rates,
-            num_caching_nodes,
-            metric=ncl_metric,
-            window=CENTRALITY_WINDOW,
-            exclude=set(sources),
-            rng=rng if ncl_metric == "random" else None,
-        )
-    caching_nodes = sorted(int(n) for n in caching_nodes)
-    overlap = set(caching_nodes) & set(sources)
-    if overlap:
-        raise ValueError(
-            f"nodes {sorted(overlap)} are both sources and caching nodes"
-        )
-
-    trees: dict = {}
-    plans: dict = {}
-    if config.structure in ("tree", "star"):
-        for item in catalog:
-            tree = _build_structure(config, item.source, caching_nodes,
-                                    rates, rng)
-            trees[item.item_id] = tree
-            if config.max_relays >= 0:
-                _plan_tree(
-                    item.item_id,
-                    tree,
-                    rates,
-                    window=item.refresh_interval,
-                    p_req=item.freshness_requirement,
-                    max_relays=config.max_relays,
-                    all_nodes=trace.node_ids,
-                    plans=plans,
-                )
-
     if isinstance(trace, ContactArrays):
         stream = ContactEventStream.from_arrays(trace)
     else:
         stream = ContactEventStream(trace, trace.node_ids)
-
-    stores: dict[int, CacheStore] = {
-        nid: CacheStore(capacity=store_capacity, policy=eviction_policy)
-        for nid in caching_nodes
-    }
-    accountant = FreshnessAccountant(catalog, caching_nodes)
-    for nid in caching_nodes:
-        stores[nid].change_listener = accountant.store_listener(nid)
-
-    runtime = SoaRuntime(
-        config=config,
-        stream=stream,
-        catalog=catalog,
-        history=history,
-        rates=rates,
-        caching_nodes=caching_nodes,
-        sources=sources,
-        stores=stores,
-        trees=trees,
-        plans=plans,
-        update_log=update_log,
-        stats=stats,
-        accountant=accountant,
-        rng=rng,
-        refresh_jitter=refresh_jitter,
-    )
+    runtime = SoaRuntime(plan, stream, stores, accountant, rng, refresh_jitter)
 
     # -- warm start: version 1 everywhere at t=0 -------------------------
-    for item in catalog:
-        for nid in caching_nodes:
+    for item in plan.catalog:
+        for nid in plan.members(item.item_id):
             runtime._seed_entry(item, nid)
 
     return runtime

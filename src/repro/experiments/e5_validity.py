@@ -74,7 +74,7 @@ def run(settings: Optional[Settings] = None,
             )
         # Analytical plan quality from one representative build (not run).
         with prepare(RunSpec(sweep_settings, sweep_settings.seeds[0], hdr)) as runtime:
-            planned.append(round(analytic_on_time(runtime), 4))
+            planned.append(round(analytic_on_time(runtime.plan), 4))
 
     on_time_series = {
         "requested": list(requirements),

@@ -102,7 +102,7 @@ def run(settings: Optional[Settings] = None,
         runs = results[variant.name]
         # Analytical prediction from one representative build (not run).
         with prepare(RunSpec(settings, settings.seeds[0], variant)) as runtime:
-            predicted = analytic_on_time(runtime)
+            predicted = analytic_on_time(runtime.plan)
         empirical = summarize([m.on_time_ratio for m in runs]).mean
         rows_c.append(
             {

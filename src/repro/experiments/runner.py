@@ -57,6 +57,7 @@ from repro.workloads.queries import schedule_queries
 if TYPE_CHECKING:  # pragma: no cover
     from repro.caching.onpath import OnPathConfig
     from repro.caching.placement import PlacementPolicy
+    from repro.core.plan import RefreshPlan
     from repro.core.scheme import SchemeRuntime
     from repro.faults.plan import FaultPlan
 
@@ -116,8 +117,8 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
-def analytic_on_time(runtime) -> float:
-    """Analytical end-to-end on-time refresh prediction of a wired runtime.
+def analytic_on_time(plan: "RefreshPlan") -> float:
+    """Analytical end-to-end on-time refresh prediction of a plan.
 
     For every (item, caching node), multiplies the planned per-hop
     delivery probabilities along the node's path to the source -- hops
@@ -128,13 +129,13 @@ def analytic_on_time(runtime) -> float:
     import math
 
     products = []
-    for item_id, tree in runtime.trees.items():
+    for item_id, tree in plan.trees.items():
         for node in tree.members:
             prob = 1.0
             path = tree.path_to_root(node)
             for child, parent in zip(path, path[1:]):
-                plan = runtime.plans.get((item_id, parent, child))
-                prob *= plan.achieved if plan is not None else 0.0
+                edge = plan.plans.get((item_id, parent, child))
+                prob *= edge.achieved if edge is not None else 0.0
             products.append(prob)
     return sum(products) / len(products) if products else math.nan
 

@@ -46,9 +46,6 @@ class MetricsRegistry(StatsRegistry):
             histogram = self._histograms[name] = Tally(name)
         return histogram
 
-    def all_histograms(self) -> dict[str, Tally]:
-        return dict(self._histograms)
-
     @staticmethod
     def _summarise(tally: Tally) -> dict[str, float]:
         summary = {

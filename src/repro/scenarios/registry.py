@@ -303,15 +303,6 @@ def schema_for(table: str) -> dict[str, SchemaKey]:
     return {row.key: row for row in SCHEMA if row.table == table}
 
 
-def schema_defaults(table: str) -> dict[str, Any]:
-    """Documented defaults of one table (required keys excluded)."""
-    return {
-        row.key: row.default
-        for row in SCHEMA
-        if row.table == table and not row.required and row.default is not None
-    }
-
-
 #: dotted keys valid as grid-axis override targets: every scalar schema
 #: key of the flat tables (grid axes sweep values, not sub-tables)
 def override_targets() -> set[str]:

@@ -82,13 +82,6 @@ class Pipeline:
             asyncio.Queue(maxsize=queue_size) for _ in handlers
         ]
 
-    def queue_depths(self) -> dict[str, int]:
-        """Current inbound queue depth per stage (diagnostics)."""
-        return {
-            handler.name: queue.qsize()
-            for handler, queue in zip(self.handlers, self.queues)
-        }
-
     async def run(self, source: AsyncIterator) -> None:
         """Drive ``source`` through every stage until it is exhausted.
 

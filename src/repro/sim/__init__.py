@@ -5,7 +5,6 @@ trace-driven experiment in this repository runs on:
 
 - :mod:`repro.sim.engine` -- the run loop (schedule, event heap and
   same-time FIFO) and simulation clock.
-- :mod:`repro.sim.rng` -- named, reproducible random-number substreams.
 - :mod:`repro.sim.messages` -- message data model exchanged over contacts.
 - :mod:`repro.sim.node` -- protocol-hosting simulation nodes.
 - :mod:`repro.sim.network` -- contact-driven network that replays a trace.
@@ -16,7 +15,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.messages import Message
 from repro.sim.network import BandwidthLimitedLink, ContactNetwork, LinkModel
 from repro.sim.node import Node, ProtocolHandler
-from repro.sim.rng import RngRegistry
 from repro.sim.stats import Counter, StatsRegistry, TimeSeries
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "Message",
     "Node",
     "ProtocolHandler",
-    "RngRegistry",
     "Simulator",
     "StatsRegistry",
     "TimeSeries",

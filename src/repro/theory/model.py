@@ -443,35 +443,31 @@ class FreshnessModel:
         query_rate: float = 0.0,
         grid_points: int = DEFAULT_GRID_POINTS,
     ) -> "FreshnessModel":
-        """Model the exact structures a wired runtime will simulate.
+        """Model the plan a wired runtime will simulate.
 
-        Reads only static wiring (rates, trees, plans, catalog, node
-        sets) that the object and SoA runtimes both carry; never touches
-        the simulator, so building and evaluating the model before
-        ``runtime.run()`` cannot perturb the run.  ``query_rate`` is the
-        per-requester Poisson rate (1/s) used for query predictions;
-        requesters are counted the way
-        :func:`~repro.workloads.queries.schedule_queries` counts them
-        (every node that is neither a source nor a caching node).
-        Raises :class:`UnsupportedRuntime` for a runtime without that
-        wiring.
+        Reads only ``runtime.plan`` (rates, trees, relay plans, catalog
+        and requesters), which the object and SoA runtimes both carry;
+        never touches the simulator, so building and evaluating the
+        model before ``runtime.run()`` cannot perturb the run.
+        ``query_rate`` is the per-requester Poisson rate (1/s) used for
+        query predictions; requesters are the plan's
+        (:attr:`~repro.core.plan.RefreshPlan.requesters`), the nodes
+        :func:`~repro.workloads.queries.schedule_queries` schedules.
+        Raises :class:`UnsupportedRuntime` for a runtime without a plan.
         """
         try:
-            requesters = (
-                set(runtime.node_ids)
-                - set(runtime.sources)
-                - set(runtime.caching_nodes)
-            )
-            wiring = (runtime.rates, runtime.trees, runtime.plans,
-                      runtime.catalog)
+            plan = runtime.plan
         except AttributeError as exc:
             raise UnsupportedRuntime(
                 f"cannot model a {type(runtime).__name__}: {exc}"
             ) from None
         return cls(
-            *wiring,
+            plan.rates,
+            plan.trees,
+            plan.plans,
+            plan.catalog,
             query_rate=query_rate,
-            num_requesters=len(requesters),
+            num_requesters=len(plan.requesters),
             grid_points=grid_points,
         )
 
@@ -555,19 +551,6 @@ class FreshnessModel:
             horizon=self._horizon(item),
             points=self.grid_points,
         )
-
-    def node_distribution(self, item_id: int, node: int) -> DelayDistribution:
-        """End-to-end delivery CDF: convolution of the hops to the root."""
-        tree = self.trees[item_id]
-        path = tree.path_to_root(node)  # node .. root
-        if len(path) < 2:
-            raise ValueError(f"node {node} is the root of item {item_id}'s tree")
-        dist: Optional[DelayDistribution] = None
-        for child, parent in zip(path, path[1:]):
-            hop = self.edge_distribution(item_id, parent, child)
-            dist = hop if dist is None else dist.convolve(hop)
-        assert dist is not None
-        return dist
 
     # -- whole-scheme prediction --------------------------------------------
 

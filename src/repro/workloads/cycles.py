@@ -171,8 +171,10 @@ def schedule_cycle_queries(
 
     Items are drawn from ``popularity`` except inside a flash-crowd
     window, where with probability ``focus_weight`` the item is instead
-    uniform over the ``focus`` most popular items.  Returns the number
-    of queries scheduled.
+    uniform over the ``focus`` most popular items.  ``requesters``
+    defaults to the plan's, as in
+    :func:`~repro.workloads.queries.schedule_queries`.  Returns the
+    number of queries scheduled.
     """
     if not runtime.query_managers:
         raise ValueError("runtime was built without the query plane")
@@ -181,8 +183,7 @@ def schedule_cycle_queries(
     if duration <= 0:
         raise ValueError("duration must be positive")
     if requesters is None:
-        excluded = set(runtime.sources) | set(runtime.caching_nodes)
-        requesters = [nid for nid in sorted(runtime.nodes) if nid not in excluded]
+        requesters = runtime.plan.requesters
     if popularity is None:
         popularity = ZipfPopularity(runtime.catalog.item_ids, s=0.8)
     peak = cycle.peak()

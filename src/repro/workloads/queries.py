@@ -31,9 +31,10 @@ def schedule_queries(
     """Schedule Poisson query arrivals onto ``runtime``'s simulator.
 
     ``rate_per_node`` is queries per requester per second over
-    ``[start, start + duration]``.  ``requesters`` defaults to every
-    node that is neither a source nor a caching node (the ordinary
-    users).  Returns the number of queries scheduled.
+    ``[start, start + duration]``.  ``requesters`` defaults to the plan's
+    (:attr:`~repro.core.plan.RefreshPlan.requesters`: every node that is
+    neither a source nor a caching node, the ordinary users).  Returns
+    the number of queries scheduled.
 
     The runtime must have been built with ``with_queries=True``.
     """
@@ -44,8 +45,7 @@ def schedule_queries(
     if duration <= 0:
         raise ValueError("duration must be positive")
     if requesters is None:
-        excluded = set(runtime.sources) | set(runtime.caching_nodes)
-        requesters = [nid for nid in sorted(runtime.nodes) if nid not in excluded]
+        requesters = runtime.plan.requesters
     if popularity is None:
         popularity = ZipfPopularity(runtime.catalog.item_ids, s=0.8)
 

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core import scheme as scheme_module
+from repro.core import plan as plan_module
 from repro.core.hierarchy import (
     RefreshTree,
     _check_capacity,
@@ -153,7 +153,7 @@ def build_tree_scalar(root, caching_nodes, rates, fanout=3, max_depth=3,
 
 
 def relay_candidates_all(rates, parent, child, all_nodes_arr):
-    """``scheme._relay_candidates`` enumerating every node, zero-rate
+    """``plan._relay_candidates`` enumerating every node, zero-rate
     relays included (``plan_edge`` discards those)."""
     return [
         (relay, rates.rate(parent, relay), rates.rate(relay, child))
@@ -284,8 +284,8 @@ def legacy_paths():
         (FloodingRefreshHandler, "_push_to", flood_push_peek_all),
         (InvalidationRefreshHandler, "_gossip_to", invalidation_gossip_peek_all),
         (SchemeRuntime, "freshness_snapshot", brute_force_snapshot),
-        (scheme_module, "build_tree", build_tree_scalar),
-        (scheme_module, "_relay_candidates", relay_candidates_all),
+        (plan_module, "build_tree", build_tree_scalar),
+        (plan_module, "_relay_candidates", relay_candidates_all),
         (PoissonContactModel, "generate", poisson_generate_scalar),
         (DiurnalModel, "generate", diurnal_generate_scalar),
         (RandomWaypointModel, "generate", proximity_generate_scalar),

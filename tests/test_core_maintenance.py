@@ -5,14 +5,17 @@ import pytest
 
 from repro.caching.items import DataCatalog
 from repro.contacts.rates import RateTable
-from repro.core.hierarchy import RefreshTree, build_tree
+from repro.core.hierarchy import RefreshTree
 from repro.core.maintenance import (
     ChurnProcess,
     HierarchyManager,
     managers_for_runtime,
 )
-from repro.core.scheme import build_simulation
+from repro.core.plan import RefreshPlan, plan_refresh
+from repro.core.replication import plan_edge
+from repro.core.scheme import SCHEMES, build_simulation, scheme_variant
 from repro.mobility.calibration import get_profile
+from tests.reference_paths import relay_candidates_all
 
 DAY = 86400.0
 
@@ -26,19 +29,17 @@ def full_mesh_rates(n, rate=1.0):
 
 
 def make_manager(members=range(1, 8), fanout=3, max_depth=3, rates=None):
-    rates = rates or full_mesh_rates(10)
-    tree = build_tree(0, members, rates, fanout=fanout, max_depth=max_depth)
-    plans = {}
-    manager = HierarchyManager(
-        item_id=0, tree=tree, rates=rates, plans=plans,
-        window=3600.0, p_req=0.9, fanout=fanout, max_depth=max_depth,
-        max_relays=3, all_nodes=tuple(range(10)),
+    """A manager of item 0 in a one-item hdr plan: source 0, ``members``
+    caching, nodes 0-9."""
+    plan = plan_refresh(
+        scheme_variant("hdr", fanout=fanout, max_depth=max_depth, max_relays=3),
+        DataCatalog.uniform(1, sources=[0], refresh_interval=3600.0),
+        node_ids=range(10),
+        rates=rates or full_mesh_rates(10),
+        rng=np.random.default_rng(0),
+        caching_nodes=list(members),
     )
-    # provision the initial edges like the builder would
-    for parent, child in tree.edges():
-        manager._replan_edge(parent, child)
-    manager.stats.replanned_edges = 0
-    return manager
+    return HierarchyManager(plan, 0, fanout=fanout, max_depth=max_depth)
 
 
 class TestHierarchyManager:
@@ -46,7 +47,7 @@ class TestHierarchyManager:
         manager = make_manager(members=range(1, 5))
         parent = manager.add_member(8)
         assert manager.tree.parent_of(8) == parent
-        assert (0, parent, 8) in manager.plans
+        assert (0, parent, 8) in manager.plan.plans
         manager.tree.validate(max_depth=manager.max_depth)
         assert manager.stats.joins == 1
 
@@ -62,7 +63,7 @@ class TestHierarchyManager:
         reattached = manager.remove_member(leaf)
         assert reattached == []
         assert leaf not in manager.tree.nodes
-        assert (0, parent, leaf) not in manager.plans
+        assert (0, parent, leaf) not in manager.plan.plans
         manager.tree.validate()
 
     def test_remove_interior_reattaches_orphans(self):
@@ -79,7 +80,7 @@ class TestHierarchyManager:
         assert interior not in manager.tree.nodes
         for orphan in orphans_before:
             assert orphan in manager.tree.nodes
-            assert (0, manager.tree.parent_of(orphan), orphan) in manager.plans
+            assert (0, manager.tree.parent_of(orphan), orphan) in manager.plan.plans
         manager.tree.validate(max_depth=manager.max_depth)
         assert manager.stats.reattachments == len(orphans_before)
 
@@ -98,7 +99,7 @@ class TestHierarchyManager:
         interior = next(n for n in manager.tree.members if manager.tree.children_of(n))
         manager.remove_member(interior)
         assert not any(
-            interior in (key[1], key[2]) for key in manager.plans
+            interior in (key[1], key[2]) for key in manager.plan.plans
         )
 
     def test_repeated_churn_preserves_invariants(self):
@@ -121,7 +122,7 @@ class TestHierarchyManager:
             assert manager.tree.members == present
             # every edge of the tree has a live plan, and no plan is stale
             edges = {(0, p, c) for p, c in manager.tree.edges()}
-            assert edges == set(manager.plans)
+            assert edges == set(manager.plan.plans)
 
     def test_random_churn_sequences_preserve_invariants_property(self):
         from hypothesis import given, settings
@@ -154,7 +155,7 @@ class TestHierarchyManager:
             manager.tree.validate(max_depth=manager.max_depth)
             assert manager.tree.members == present
             edges = {(0, p, c) for p, c in manager.tree.edges()}
-            assert edges == set(manager.plans)
+            assert edges == set(manager.plan.plans)
 
         run_sequence()
 
@@ -167,10 +168,14 @@ class TestHierarchyManager:
         tree.attach(2, 0)
         tree.attach(3, 0)
         tree.attach(5, 1)
-        manager = HierarchyManager(
-            item_id=0, tree=tree, rates=rates, plans={}, window=10.0,
-            p_req=0.9, fanout=3, max_depth=3, all_nodes=(0, 1, 2, 3, 5),
+        plan = RefreshPlan(
+            config=SCHEMES["hdr"],
+            catalog=DataCatalog.uniform(1, sources=[0], refresh_interval=10.0),
+            node_ids=(0, 1, 2, 3, 5), rates=rates, sources=[0],
+            caching_nodes=[1, 2, 3, 5], assignment=None, trees={0: tree},
+            plans={},
         )
+        manager = HierarchyManager(plan, 0, fanout=3, max_depth=3)
         manager.remove_member(1)
         assert tree.parent_of(5) == 2
 
@@ -189,6 +194,49 @@ class TestManagersForRuntime:
         managers = managers_for_runtime(runtime)
         assert set(managers) == {0, 1}
         assert managers[0].tree is runtime.trees[0]
+
+    def test_repaired_edges_match_the_reference_scan(self):
+        """Churn repair provisions an edge with the planner's neighbour
+        intersection; every relay plan it leaves equals ``plan_edge``
+        over every node of the population.  The hop windows are too
+        short for any target and the relay cap is above the population,
+        so every plan keeps every candidate with a two-hop path."""
+        trace = get_profile("small").generate(np.random.default_rng(4), duration=DAY)
+        catalog = DataCatalog.uniform(
+            2, sources=[trace.node_ids[0]], refresh_interval=1800.0
+        )
+        runtime = build_simulation(trace, catalog,
+                                   scheme=scheme_variant("hdr", max_relays=100),
+                                   num_caching_nodes=5, seed=1)
+        plan = runtime.plan
+        managers = managers_for_runtime(runtime)
+        all_nodes = np.asarray(plan.node_ids)
+
+        def check():
+            for item_id, manager in managers.items():
+                edges = {(item_id, p, c) for p, c in manager.tree.edges()}
+                assert edges == {key for key in plan.plans if key[0] == item_id}
+            for (item_id, parent, child), relays in plan.plans.items():
+                assert relays == plan_edge(
+                    parent, child,
+                    direct_rate=plan.rates.rate(parent, child),
+                    relay_candidates=relay_candidates_all(
+                        plan.rates, parent, child, all_nodes),
+                    window=relays.window, target=relays.target,
+                    max_relays=plan.config.max_relays,
+                )
+
+        for node in plan.caching_nodes:
+            for manager in managers.values():
+                manager.remove_member(node)
+            check()
+            for manager in managers.values():
+                manager.add_member(node)
+            check()
+        # every return re-provisions the returning node's own edge
+        assert all(manager.stats.replanned_edges > len(plan.caching_nodes)
+                   for manager in managers.values())
+        assert any(relays.relays for relays in plan.plans.values())
 
     def test_flooding_runtime_rejected(self):
         trace = get_profile("small").generate(np.random.default_rng(4), duration=DAY)

@@ -81,7 +81,7 @@ class TestRunnerHelpers:
         catalog = make_catalog(settings, choose_sources(trace, settings))
         runtime = build_simulation(trace, catalog, scheme="hdr",
                                    num_caching_nodes=5, seed=1)
-        value = analytic_on_time(runtime)
+        value = analytic_on_time(runtime.plan)
         assert 0.0 <= value <= 1.0
 
 

@@ -10,7 +10,9 @@ counter, and update-log aggregate agrees field-for-field
 - the same identity with the event slab shrunk to a handful of events,
   forcing many slab reloads and the timestamp-alignment edge cases;
 - unsupported options (queries, tracing, the invalidate scheme) must be
-  rejected loudly rather than silently ignored.
+  rejected loudly rather than silently ignored;
+- both builders hold equal refresh plans, and neither runs without a
+  horizon.
 """
 
 import pytest
@@ -18,8 +20,14 @@ from hypothesis import HealthCheck, given, settings as hsettings
 from hypothesis import strategies as st
 
 from repro.core import soa as soa_module
+from repro.core.scheme import build_simulation
 from repro.experiments.config import DAY, Settings
-from repro.experiments.runner import make_trace, run_once
+from repro.experiments.runner import (
+    choose_sources,
+    make_catalog,
+    make_trace,
+    run_once,
+)
 
 #: Every scheme the SoA executor supports ("invalidate" is object-only).
 SOA_SCHEMES = ("hdr", "flat", "random", "source", "flooding", "none")
@@ -70,7 +78,46 @@ class TestBackendEquivalence:
         assert obj.same_as(soa)
 
 
+def build(scheme: str, seed: int, settings: Settings, backend: str):
+    trace = make_trace(settings, seed)
+    catalog = make_catalog(settings, choose_sources(trace, settings))
+    return build_simulation(
+        trace, catalog, scheme=scheme,
+        num_caching_nodes=settings.num_caching_nodes, seed=seed,
+        refresh_jitter=settings.refresh_jitter, backend=backend,
+    )
+
+
+class TestOnePlan:
+    @hsettings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        scheme=st.sampled_from(("hdr", "flat", "random", "source")),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_both_builders_hold_equal_plans(self, scheme, seed):
+        obj, soa = (build(scheme, seed, small_settings(), backend).plan
+                    for backend in ("object", "soa"))
+        assert obj.caching_nodes == soa.caching_nodes
+        assert obj.trees == soa.trees
+        assert obj.plans == soa.plans
+        assert obj.plans, f"{scheme} seed={seed}: no tree edge was planned"
+
+
 class TestBackendValidation:
+    @pytest.mark.parametrize("backend", ("object", "soa"))
+    def test_run_needs_a_horizon(self, backend):
+        """Without a horizon an object run never returned, because every
+        refresh schedules the next one."""
+        runtime = build("hdr", 1, small_settings(), backend)
+        with pytest.raises(ValueError, match="explicit horizon"):
+            runtime.run(until=None)
+        with pytest.raises(TypeError):
+            runtime.run()
+
     def test_unknown_backend_rejected(self):
         settings = small_settings()
         trace = make_trace(settings, 1)

@@ -248,7 +248,7 @@ class TestFromRuntime:
 
         partial = SimpleNamespace(sources=runtime.sources,
                                   caching_nodes=runtime.caching_nodes)
-        with pytest.raises(UnsupportedRuntime, match="node_ids"):
+        with pytest.raises(UnsupportedRuntime, match="plan"):
             FreshnessModel.from_runtime(partial)
 
     def test_prediction_is_passive(self, monkeypatch):
